@@ -1,9 +1,9 @@
 # Build/test/benchmark wiring for the vizpower reproduction.
 #
 #   make check   - vet + build + full test suite + short race pass
-#   make race    - the short -race run on the runtime, mesh layer, rank
-#                  fabric, and two kernels (the packages with real
-#                  cross-goroutine traffic), plus the harness
+#   make race    - the short -race run on the runtime, mesh layer, hydro
+#                  proxy, rank fabric, and two kernels (the packages with
+#                  real cross-goroutine traffic), plus the harness
 #                  failure-injection paths
 #   make bench   - the dispatch + kernel benchmarks recorded in BENCH_PR1.json
 #   make bench-render - the render hot-path benchmarks recorded in
@@ -11,8 +11,9 @@
 #                  build, cinema encode queue), with -benchmem
 #   make bench-advect - the advection hot-path benchmarks recorded in
 #                  BENCH_PR4.json (fused-sampler SoA integrator vs the
-#                  reference, fixed + adaptive, 32^3/64^3/128^3, plus
-#                  the scratch-leased clover sweep), with -benchmem
+#                  reference, fixed + adaptive, 32^3/64^3/128^3), plus
+#                  the hydro hot path: the clover sweeps per axis at
+#                  64^3/128^3 and ResampleCube 64->128, with -benchmem
 #   make bench-advect-dist - the distributed parallelize-over-data
 #                  advection benchmarks recorded in BENCH_PR6.json
 #                  (reference/fast single-rank oracles vs dist.Advect at
@@ -49,7 +50,7 @@
 GO ?= go
 
 # Packages whose tests exercise multi-worker pools and shared buffers.
-RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
+RACE_PKGS = ./internal/par ./internal/mesh ./internal/sim/clover ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
 .PHONY: check vet build test race bench bench-render bench-advect bench-advect-dist bench-serve bench-dpp bench-govern bench-obs govern profile serve
 
@@ -83,6 +84,10 @@ bench-advect:
 	$(GO) test -timeout 600s . -run xxx -benchmem \
 		-bench 'BenchmarkAdvectPaths|BenchmarkCloverSweep' \
 		-benchtime 3x
+	$(GO) test -timeout 600s ./internal/sim/clover -run xxx -benchmem \
+		-bench 'BenchmarkSweepAxis' -benchtime 5x
+	$(GO) test -timeout 600s ./internal/mesh -run xxx -benchmem \
+		-bench 'BenchmarkResampleCube' -benchtime 3x
 
 bench-advect-dist:
 	$(GO) test -timeout 600s . -run xxx -benchmem \

@@ -217,12 +217,15 @@ func (c *Config) Dataset(size int) (*mesh.UniformGrid, error) {
 		if err != nil {
 			return nil, err
 		}
+		t0 := time.Now()
 		steps := 0
 		for s.Time() < c.SimTime && steps < c.MaxSimSteps {
 			s.Step(c.Pool, nil)
 			steps++
 		}
-		c.log("dataset %d^3: hydro ran %d steps to t=%.4f", simSize, steps, s.Time())
+		el := time.Since(t0).Seconds()
+		c.log("dataset %d^3: hydro ran %d steps to t=%.4f in %.2f s (%.1f Mcell-steps/s)",
+			simSize, steps, s.Time(), el, float64(s.NumCells())*float64(steps)/el/1e6)
 		base, err = s.Grid()
 		if err != nil {
 			return nil, err
@@ -232,11 +235,12 @@ func (c *Config) Dataset(size int) (*mesh.UniformGrid, error) {
 	if simSize == size {
 		return base, nil
 	}
+	t0 := time.Now()
 	up, err := mesh.ResampleCube(base, size)
 	if err != nil {
 		return nil, err
 	}
-	c.log("dataset %d^3: resampled from %d^3", size, simSize)
+	c.log("dataset %d^3: resampled from %d^3 in %.2f s", size, simSize, time.Since(t0).Seconds())
 	c.datasets[size] = up
 	return up, nil
 }

@@ -1,6 +1,10 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/par"
+)
 
 // ResampleCube produces an n-cell cube grid whose fields are trilinear
 // resamplings of g's fields: every cell field (via its recentered point
@@ -9,6 +13,12 @@ import "fmt"
 // hydro run that is practical here (a documented substitution; the
 // visualization workloads only care about field smoothness and feature
 // scale, which resampling preserves).
+//
+// Each field pass is split into z-planes of the output on the default
+// pool. Every probe is an independent ScalarSampler/VectorSampler.Sample
+// at the same position the serial walk would use, so the output is
+// bit-identical to it (and to the per-probe SampleScalarField path) on
+// any worker count.
 func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	out, err := NewCubeGrid(n)
 	if err != nil {
@@ -26,49 +36,92 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 			}
 		}
 	}
-	// Resolve each source field into a sampler once; destination points
-	// walk the grid in order, so the sampler's cached cell covers most
-	// probes (bit-identical to the per-probe SampleScalarField path).
-	samplePts := func(s *ScalarSampler, dst []float64) {
-		for id := range dst {
-			v, ok := s.Sample(out.PointPosition(id))
-			if !ok {
-				v = 0
-			}
-			dst[id] = v
-		}
-	}
+	pool := par.Default()
+	points, centers := newLattice(out, 0), newLattice(out, 0.5)
 	for name := range g.cellFields {
 		s := ScalarSamplerFor(g, g.pointFields[name])
-		cf := out.AddCellField(name)
-		for c := range cf {
-			v, ok := s.Sample(out.CellCenter(c))
-			if !ok {
-				v = 0
-			}
-			cf[c] = v
-		}
-		samplePts(s, out.AddPointField(name))
+		centers.scalars(pool, s, out.AddCellField(name))
+		points.scalars(pool, s, out.AddPointField(name))
 	}
 	for name, src := range g.pointFields {
 		if out.pointFields[name] != nil {
 			continue // already produced alongside the cell field
 		}
-		samplePts(ScalarSamplerFor(g, src), out.AddPointField(name))
+		points.scalars(pool, ScalarSamplerFor(g, src), out.AddPointField(name))
 	}
 	for name := range g.pointVectors {
 		s, err := NewVectorSampler(g, name)
 		if err != nil {
 			return nil, err
 		}
-		dst := out.AddPointVector(name)
-		for id := range dst {
-			v, ok := s.Sample(out.PointPosition(id))
-			if !ok {
-				v = Vec3{}
-			}
-			dst[id] = v
-		}
+		points.vectors(pool, s, out.AddPointVector(name))
 	}
 	return out, nil
+}
+
+// lattice holds the probe coordinates of a resample along each axis:
+// a grid's points (offset 0) or its cell centers (offset 0.5), computed
+// with the expressions of PointPosition and CellCenter so the probes
+// match them bit for bit. Probes run x-fastest, matching id order.
+type lattice struct {
+	x, y, z []float64
+}
+
+func newLattice(g *UniformGrid, offset float64) lattice {
+	axis := func(a, n int) []float64 {
+		c := make([]float64, n)
+		for i := range c {
+			c[i] = g.Origin[a] + (float64(i)+offset)*g.Spacing[a]
+		}
+		return c
+	}
+	n := g.Dims
+	if offset != 0 {
+		n = g.CellDims()
+	}
+	return lattice{axis(0, n[0]), axis(1, n[1]), axis(2, n[2])}
+}
+
+// scalars fills dst with proto's samples at every probe (0 outside the
+// source), one z-plane per loop iteration. Samplers cache their last
+// cell, so each chunk samples through its own copy.
+func (l lattice) scalars(pool *par.Pool, proto *ScalarSampler, dst []float64) {
+	plane := len(l.x) * len(l.y)
+	pool.For(len(l.z), 0, func(lo, hi, _ int) {
+		s := *proto
+		id := lo * plane
+		for _, z := range l.z[lo:hi] {
+			for _, y := range l.y {
+				for _, x := range l.x {
+					v, ok := s.Sample(Vec3{x, y, z})
+					if !ok {
+						v = 0
+					}
+					dst[id] = v
+					id++
+				}
+			}
+		}
+	})
+}
+
+// vectors is scalars for a point vector field.
+func (l lattice) vectors(pool *par.Pool, proto *VectorSampler, dst []Vec3) {
+	plane := len(l.x) * len(l.y)
+	pool.For(len(l.z), 0, func(lo, hi, _ int) {
+		s := *proto
+		id := lo * plane
+		for _, z := range l.z[lo:hi] {
+			for _, y := range l.y {
+				for _, x := range l.x {
+					v, ok := s.Sample(Vec3{x, y, z})
+					if !ok {
+						v = Vec3{}
+					}
+					dst[id] = v
+					id++
+				}
+			}
+		}
+	})
 }

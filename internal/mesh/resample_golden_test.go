@@ -11,7 +11,7 @@ import (
 // goldenSource builds a cube grid carrying two cell fields, one point
 // field without a cell twin, and a point vector field, all smooth but
 // non-linear so every interpolation weight matters.
-func goldenSource(t *testing.T, n int) *UniformGrid {
+func goldenSource(t testing.TB, n int) *UniformGrid {
 	t.Helper()
 	g := mustCube(t, n)
 	e := g.AddCellField("energy")
@@ -105,4 +105,18 @@ func TestResampleCubeGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkResampleCube times a 64³→128³ resample of the golden source
+// fields (two cell fields, a point field, a vector field).
+func BenchmarkResampleCube(b *testing.B) {
+	g := goldenSource(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ResampleCube(g, 128); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(129*129*129)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }

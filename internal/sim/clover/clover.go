@@ -176,22 +176,15 @@ func (s *Sim) StepCount() int { return s.step }
 // eosAndSpeeds fills pressure and sound speed and returns the maximum
 // signal speed |u|+c over the domain (for the CFL condition).
 func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
-	g1 := s.opts.Gamma - 1
+	gamma, g1 := s.opts.Gamma, s.opts.Gamma-1
 	nc := s.NumCells()
 	maxSpeed := par.Reduce(pool, nc, 0,
 		func() float64 { return 0 },
 		func(lo, hi int, acc float64) float64 {
 			for c := lo; c < hi; c++ {
-				r := s.rho[c]
-				inv := 1 / r
-				ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
-				p := g1 * (s.etot[c] - ke)
-				if p < 1e-12 {
-					p = 1e-12
-				}
-				s.prs[c] = p
-				cs := math.Sqrt(s.opts.Gamma * p * inv)
-				s.snd[c] = cs
+				p, cs := primitives(g1, gamma, s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c])
+				s.prs[c], s.snd[c] = p, cs
+				inv := 1 / s.rho[c]
 				u := math.Sqrt(s.mx[c]*s.mx[c]+s.my[c]*s.my[c]+s.mz[c]*s.mz[c]) * inv
 				if u+cs > acc {
 					acc = u + cs
@@ -211,8 +204,9 @@ func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
 	return maxSpeed
 }
 
-// flux5 is the Euler flux vector through a face for the five conserved
-// quantities, given left/right states, in the sweep direction.
+// state5 holds the five conserved quantities of a cell, or their fluxes
+// through a face, with momentum split into the component normal to the
+// sweep axis (mn) and the two transverse ones (mt1, mt2).
 type state5 struct{ rho, mn, mt1, mt2, e float64 }
 
 // rusanov computes the Rusanov (local Lax–Friedrichs) flux between two
@@ -247,149 +241,212 @@ func rusanov(l, r state5, pl, pr, cl, cr float64) state5 {
 }
 
 // sweep performs one dimensionally-split update along axis dir (0,1,2)
-// with timestep dt. Pencils along the sweep axis are independent, so the
-// loop over pencils is the parallel dimension.
-func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
-	lambda := dt / s.h
-	var n, nPencils int
+// with timestep dt. With eos set it also refreshes pressure and sound
+// speed of each cell right after the cell's update, so the next sweep
+// sees consistent primitives without a separate pass over the grid.
+//
+// Pencils along the sweep axis are independent. The parallel unit is a
+// row of pencils that sit next to each other in x: for y and z a row is
+// nx pencils (one k-plane for y, one j-row of every plane for z), so the
+// two cells each face reads are contiguous across the row instead of nx
+// or nx·ny cells apart. x pencils are contiguous already and form rows
+// of one. See rowSweep.row for the face order.
+func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell, eos bool) {
+	nx, nxy := s.nx, s.nx*s.ny
+	w := rowSweep{
+		lambda: dt / s.h, g1: s.opts.Gamma - 1, gamma: s.opts.Gamma,
+		second: s.opts.SecondOrder, eos: eos,
+		rho: s.rho, etot: s.etot, prs: s.prs, snd: s.snd,
+		mx: s.mx, my: s.my, mz: s.mz,
+		ghostLo: ghostLo, ghostHi: ghostHi,
+	}
+	var rows, rowStep int
 	switch dir {
 	case 0:
-		n, nPencils = s.nx, s.ny*s.nz
+		w.n, w.width, w.stride, rows, rowStep = s.nx, 1, 1, s.ny*s.nz, nx
+		w.mn, w.mt1, w.mt2 = s.mx, s.my, s.mz
 	case 1:
-		n, nPencils = s.ny, s.nx*s.nz
+		w.n, w.width, w.stride, rows, rowStep = s.ny, nx, nx, s.nz, nxy
+		w.mn, w.mt1, w.mt2 = s.my, s.mx, s.mz
 	default:
-		n, nPencils = s.nz, s.nx*s.ny
+		w.n, w.width, w.stride, rows, rowStep = s.nz, nx, nxy, s.ny, nx
+		w.mn, w.mt1, w.mt2 = s.mz, s.mx, s.my
 	}
 
-	// Map pencil index and position along the axis to a cell index.
-	cellAt := func(pencil, q int) int {
-		switch dir {
-		case 0:
-			return s.idx(q, pencil%s.ny, pencil/s.ny)
-		case 1:
-			return s.idx(pencil%s.nx, q, pencil/s.nx)
-		default:
-			return s.idx(pencil%s.nx, pencil/s.nx, q)
-		}
-	}
-	// Select normal/transverse momentum components for the sweep axis.
-	var mn, mt1, mt2 []float64
-	switch dir {
-	case 0:
-		mn, mt1, mt2 = s.mx, s.my, s.mz
-	case 1:
-		mn, mt1, mt2 = s.my, s.mx, s.mz
-	default:
-		mn, mt1, mt2 = s.mz, s.mx, s.my
-	}
-
+	// The op profile models the paper's pencil sweep, not this loop
+	// nest: x streams and y/z stride whatever the row layout, so the
+	// counts (and every classification built on them) stay put.
 	pattern := ops.Stream
 	if dir != 0 {
 		pattern = ops.Strided
 	}
 
-	pool.For(nPencils, 0, func(lo, hi, worker int) {
-		// Face-flux and slope buffers for one pencil (n+1 faces), leased
-		// from the pool's scratch store so the three sweeps of every step
-		// reuse warm allocations instead of reallocating per chunk.
-		// Capacity is checked because nx/ny/nz can differ across axes.
+	pool.For(rows, 0, func(lo, hi, worker int) {
+		// One flux (and slope) entry per pencil of a row, leased from
+		// the pool's scratch store so every sweep of every step reuses
+		// warm buffers.
 		ss, _ := pool.GetScratch(sweepScratchKey{}).(*sweepScratch)
 		if ss == nil {
 			ss = &sweepScratch{}
 		}
-		if cap(ss.fluxes) < n+1 {
-			ss.fluxes = make([]state5, n+1)
+		ss.fit(w.width, w.second)
+		for row := lo; row < hi; row++ {
+			w.row(row*rowStep, ss.fluxes, ss.slopes)
 		}
-		fluxes := ss.fluxes[:n+1]
-		var slopes []state5
-		if s.opts.SecondOrder {
-			if cap(ss.slopes) < n {
-				ss.slopes = make([]state5, n)
-			}
-			slopes = ss.slopes[:n]
-		}
-		for pencil := lo; pencil < hi; pencil++ {
-			if s.opts.SecondOrder {
-				s.pencilSlopes(pencil, n, cellAt, mn, mt1, mt2, slopes)
-			}
-			// Interior faces.
-			for q := 1; q < n; q++ {
-				cl := cellAt(pencil, q-1)
-				cr := cellAt(pencil, q)
-				l := state5{s.rho[cl], mn[cl], mt1[cl], mt2[cl], s.etot[cl]}
-				r := state5{s.rho[cr], mn[cr], mt1[cr], mt2[cr], s.etot[cr]}
-				if s.opts.SecondOrder {
-					l = addHalf(l, slopes[q-1], +1)
-					r = addHalf(r, slopes[q], -1)
-					if l.rho < 1e-10 {
-						l.rho = 1e-10
-					}
-					if r.rho < 1e-10 {
-						r.rho = 1e-10
-					}
-				}
-				fluxes[q] = rusanov(l, r, s.prs[cl], s.prs[cr], s.snd[cl], s.snd[cr])
-			}
-			// Domain ends: reflective walls (mirror the state with
-			// reversed normal momentum — mass/energy flux vanish) or,
-			// on the z axis of a slab subdomain, halo-exchanged ghost
-			// cells from the neighboring rank.
-			{
-				c0 := cellAt(pencil, 0)
-				in := state5{s.rho[c0], mn[c0], mt1[c0], mt2[c0], s.etot[c0]}
-				if dir == 2 && ghostLo != nil {
-					gc := ghostLo[pencil]
-					g := state5{gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E}
-					fluxes[0] = rusanov(g, in, gc.P, s.prs[c0], gc.C, s.snd[c0])
-				} else {
-					ghost := in
-					ghost.mn = -in.mn
-					fluxes[0] = rusanov(ghost, in, s.prs[c0], s.prs[c0], s.snd[c0], s.snd[c0])
-				}
-				cn := cellAt(pencil, n-1)
-				in = state5{s.rho[cn], mn[cn], mt1[cn], mt2[cn], s.etot[cn]}
-				if dir == 2 && ghostHi != nil {
-					gc := ghostHi[pencil]
-					g := state5{gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E}
-					fluxes[n] = rusanov(in, g, s.prs[cn], gc.P, s.snd[cn], gc.C)
-				} else {
-					ghost := in
-					ghost.mn = -in.mn
-					fluxes[n] = rusanov(in, ghost, s.prs[cn], s.prs[cn], s.snd[cn], s.snd[cn])
-				}
-			}
-			// Conservative update.
-			for q := 0; q < n; q++ {
-				c := cellAt(pencil, q)
-				s.rho[c] -= lambda * (fluxes[q+1].rho - fluxes[q].rho)
-				mn[c] -= lambda * (fluxes[q+1].mn - fluxes[q].mn)
-				mt1[c] -= lambda * (fluxes[q+1].mt1 - fluxes[q].mt1)
-				mt2[c] -= lambda * (fluxes[q+1].mt2 - fluxes[q].mt2)
-				s.etot[c] -= lambda * (fluxes[q+1].e - fluxes[q].e)
-				if s.rho[c] < 1e-10 {
-					s.rho[c] = 1e-10
-				}
-			}
-			if recs != nil {
-				rec := &recs[worker]
-				nc := uint64(n)
-				// Per cell: 7 field loads for flux, 5 stores on update,
-				// ~55 flops in rusanov + update, a few branches.
-				rec.Loads(nc*7*8, pattern)
-				rec.Stores(nc*5*8, pattern)
-				rec.Flops(nc * 55)
-				rec.Branches(nc * 2)
+		if recs != nil {
+			rec := &recs[worker]
+			nc := uint64(w.n * w.width * (hi - lo))
+			// Per cell: 7 field loads for flux, 5 stores on update,
+			// ~55 flops in rusanov + update, a few branches.
+			rec.Loads(nc*7*8, pattern)
+			rec.Stores(nc*5*8, pattern)
+			rec.Flops(nc * 55)
+			rec.Branches(nc * 2)
+			if eos {
+				// EOS refresh: 5 field loads + 2 stores, ~20 flops.
+				rec.Loads(nc*5*8, ops.Stream)
+				rec.Stores(nc*2*8, ops.Stream)
+				rec.Flops(nc * 20)
+				rec.Branches(nc)
 			}
 		}
 		pool.PutScratch(sweepScratchKey{}, ss)
 	})
 }
 
-// sweepScratch holds the per-chunk pencil buffers of sweep, leased from
+// rowSweep is one sweep's geometry and state, shared read-only by the
+// pool workers.
+type rowSweep struct {
+	n, width, stride  int // cells per pencil, pencils per row, axis step
+	lambda, g1, gamma float64
+	second, eos       bool
+	rho, mn, mt1, mt2 []float64 // mn/mt1/mt2: normal/transverse momenta
+	etot, prs, snd    []float64
+	mx, my, mz        []float64 // the same momenta in x/y/z order (EOS)
+	ghostLo, ghostHi  []GhostCell
+}
+
+// row sweeps the row of width pencils whose first cell is base. It walks
+// the axis face by face; fluxes (and, for MUSCL, slopes) hold one entry
+// per pencil for the face just below. Once face q is known, cell q−1 —
+// which no later face reads — takes its update. Every face's rusanov
+// call, every cell's update expression and the density clamp are the
+// textbook per-pencil sweep's, so the fields are bit-identical to it.
+func (w *rowSweep) row(base int, fluxes, slopes []state5) {
+	n, width, stride := w.n, w.width, w.stride
+	lambda, g1, gamma := w.lambda, w.g1, w.gamma
+	second, eos := w.second, w.eos
+	rho, mn, mt1, mt2, etot := w.rho, w.mn, w.mt1, w.mt2, w.etot
+	prs, snd, mx, my, mz := w.prs, w.snd, w.mx, w.my, w.mz
+
+	// Face 0: a reflective wall (the mirror state with reversed normal
+	// momentum, so mass and energy flux vanish) or, on the z axis of a
+	// slab subdomain, the neighboring rank's halo cell. Halos are
+	// indexed by pencil i + nx·j, which for a z row is base + i.
+	for i := 0; i < width; i++ {
+		c := base + i
+		in := state5{rho[c], mn[c], mt1[c], mt2[c], etot[c]}
+		if w.ghostLo != nil {
+			gc := w.ghostLo[c]
+			fluxes[i] = rusanov(state5{gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E}, in, gc.P, prs[c], gc.C, snd[c])
+		} else {
+			ghost := in
+			ghost.mn = -in.mn
+			fluxes[i] = rusanov(ghost, in, prs[c], prs[c], snd[c], snd[c])
+		}
+		if second {
+			slopes[i] = state5{} // zero slope at the wall cell
+		}
+	}
+	// Faces 1..n, each followed by the update of the cell below it.
+	for q := 1; q <= n; q++ {
+		lo := base + (q-1)*stride
+		for i := 0; i < width; i++ {
+			cl, cr := lo+i, lo+stride+i
+			l := state5{rho[cl], mn[cl], mt1[cl], mt2[cl], etot[cl]}
+			var f state5
+			switch {
+			case q == n && w.ghostHi != nil:
+				gc := w.ghostHi[base+i]
+				f = rusanov(l, state5{gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E}, prs[cl], gc.P, snd[cl], gc.C)
+			case q == n:
+				ghost := l
+				ghost.mn = -l.mn
+				f = rusanov(l, ghost, prs[cl], prs[cl], snd[cl], snd[cl])
+			case second:
+				// Cell q's slope reads cell q−1, so it is taken one
+				// cell behind, before q−1 is updated; the wall cell
+				// n−1 keeps a zero slope.
+				r := state5{rho[cr], mn[cr], mt1[cr], mt2[cr], etot[cr]}
+				var sr state5
+				if q < n-1 {
+					c := cr + stride
+					sr = limitedSlope(l, r, state5{rho[c], mn[c], mt1[c], mt2[c], etot[c]})
+				}
+				ls := addHalf(l, slopes[i], +1)
+				rs := addHalf(r, sr, -1)
+				if ls.rho < 1e-10 {
+					ls.rho = 1e-10
+				}
+				if rs.rho < 1e-10 {
+					rs.rho = 1e-10
+				}
+				slopes[i] = sr
+				f = rusanov(ls, rs, prs[cl], prs[cr], snd[cl], snd[cr])
+			default:
+				r := state5{rho[cr], mn[cr], mt1[cr], mt2[cr], etot[cr]}
+				f = rusanov(l, r, prs[cl], prs[cr], snd[cl], snd[cr])
+			}
+			b := &fluxes[i]
+			rho[cl] -= lambda * (f.rho - b.rho)
+			mn[cl] -= lambda * (f.mn - b.mn)
+			mt1[cl] -= lambda * (f.mt1 - b.mt1)
+			mt2[cl] -= lambda * (f.mt2 - b.mt2)
+			etot[cl] -= lambda * (f.e - b.e)
+			if rho[cl] < 1e-10 {
+				rho[cl] = 1e-10
+			}
+			*b = f
+			if eos {
+				prs[cl], snd[cl] = primitives(g1, gamma, rho[cl], mx[cl], my[cl], mz[cl], etot[cl])
+			}
+		}
+	}
+}
+
+// primitives is the ideal-gas EOS of one cell: pressure (floored at
+// 1e-12) and sound speed from the conserved state.
+func primitives(g1, gamma, rho, mx, my, mz, e float64) (p, cs float64) {
+	inv := 1 / rho
+	ke := 0.5 * (mx*mx + my*my + mz*mz) * inv
+	p = g1 * (e - ke)
+	if p < 1e-12 {
+		p = 1e-12
+	}
+	return p, math.Sqrt(gamma * p * inv)
+}
+
+// sweepScratch holds the per-chunk row buffers of sweep, leased from
 // the worker pool's scratch store across sweeps and steps.
 type sweepScratch struct {
 	fluxes []state5
 	slopes []state5
+}
+
+// fit sizes the buffers to one entry per pencil of a width-pencil row,
+// reallocating only when the capacity is short (the row width differs
+// between x and y/z).
+func (ss *sweepScratch) fit(width int, second bool) {
+	if cap(ss.fluxes) < width {
+		ss.fluxes = make([]state5, width)
+	}
+	ss.fluxes = ss.fluxes[:width]
+	if second {
+		if cap(ss.slopes) < width {
+			ss.slopes = make([]state5, width)
+		}
+		ss.slopes = ss.slopes[:width]
+	}
 }
 
 // sweepScratchKey keys sweepScratch leases in the pool scratch store.
@@ -407,6 +464,18 @@ func minmod(a, b float64) float64 {
 	return b
 }
 
+// limitedSlope is the minmod-limited slope of cell cur between its axis
+// neighbors prev and next, per conserved quantity.
+func limitedSlope(prev, cur, next state5) state5 {
+	return state5{
+		rho: minmod(cur.rho-prev.rho, next.rho-cur.rho),
+		mn:  minmod(cur.mn-prev.mn, next.mn-cur.mn),
+		mt1: minmod(cur.mt1-prev.mt1, next.mt1-cur.mt1),
+		mt2: minmod(cur.mt2-prev.mt2, next.mt2-cur.mt2),
+		e:   minmod(cur.e-prev.e, next.e-cur.e),
+	}
+}
+
 // addHalf shifts a cell state by ±half its limited slope, producing the
 // MUSCL interface state.
 func addHalf(u, slope state5, sign float64) state5 {
@@ -418,58 +487,6 @@ func addHalf(u, slope state5, sign float64) state5 {
 		mt2: u.mt2 + h*slope.mt2,
 		e:   u.e + h*slope.e,
 	}
-}
-
-// pencilSlopes fills the minmod-limited slopes of the conserved variables
-// along one pencil (zero slope at the walls).
-func (s *Sim) pencilSlopes(pencil, n int, cellAt func(int, int) int, mn, mt1, mt2 []float64, slopes []state5) {
-	get := func(q int) state5 {
-		c := cellAt(pencil, q)
-		return state5{s.rho[c], mn[c], mt1[c], mt2[c], s.etot[c]}
-	}
-	slopes[0] = state5{}
-	slopes[n-1] = state5{}
-	prev := get(0)
-	cur := get(1)
-	for q := 1; q < n-1; q++ {
-		next := get(q + 1)
-		slopes[q] = state5{
-			rho: minmod(cur.rho-prev.rho, next.rho-cur.rho),
-			mn:  minmod(cur.mn-prev.mn, next.mn-cur.mn),
-			mt1: minmod(cur.mt1-prev.mt1, next.mt1-cur.mt1),
-			mt2: minmod(cur.mt2-prev.mt2, next.mt2-cur.mt2),
-			e:   minmod(cur.e-prev.e, next.e-cur.e),
-		}
-		prev, cur = cur, next
-	}
-}
-
-// refreshEOS recomputes pressure and sound speed (used between split
-// sweeps so each sweep sees consistent primitives).
-func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
-	g1 := s.opts.Gamma - 1
-	nc := s.NumCells()
-	pool.For(nc, 0, func(lo, hi, worker int) {
-		for c := lo; c < hi; c++ {
-			r := s.rho[c]
-			inv := 1 / r
-			ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
-			p := g1 * (s.etot[c] - ke)
-			if p < 1e-12 {
-				p = 1e-12
-			}
-			s.prs[c] = p
-			s.snd[c] = math.Sqrt(s.opts.Gamma * p * inv)
-		}
-		if recs != nil {
-			rec := &recs[worker]
-			nn := uint64(hi - lo)
-			rec.Loads(nn*5*8, ops.Stream)
-			rec.Stores(nn*2*8, ops.Stream)
-			rec.Flops(nn * 20)
-			rec.Branches(nn)
-		}
-	})
 }
 
 // GhostCell is one halo cell's state as exchanged between z-slab ranks:
@@ -503,10 +520,8 @@ func (s *Sim) DT(maxSpeed float64) float64 {
 // SweepXY runs the x and y sweeps (which never cross z-slab boundaries)
 // with EOS refreshes, leaving the primitives consistent for the z sweep.
 func (s *Sim) SweepXY(dt float64, pool *par.Pool, recs []ops.Recorder) {
-	s.sweep(0, dt, pool, recs, nil, nil)
-	s.refreshEOS(pool, recs)
-	s.sweep(1, dt, pool, recs, nil, nil)
-	s.refreshEOS(pool, recs)
+	s.sweep(0, dt, pool, recs, nil, nil, true)
+	s.sweep(1, dt, pool, recs, nil, nil, true)
 }
 
 // ZBoundary copies the subdomain's first and last z layers (after the x/y
@@ -530,7 +545,7 @@ func (s *Sim) ZBoundary() (lo, hi []GhostCell) {
 // neighboring rank's boundary layers (one GhostCell per (i,j) pencil, in
 // i-fastest order); a nil side is a reflective physical wall.
 func (s *Sim) SweepZ(dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
-	s.sweep(2, dt, pool, recs, ghostLo, ghostHi)
+	s.sweep(2, dt, pool, recs, ghostLo, ghostHi, false)
 }
 
 // FinishStep advances the clock after the sweeps.
@@ -656,18 +671,4 @@ func (s *Sim) Grid() (*mesh.UniformGrid, error) {
 		}
 	}
 	return g, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
