@@ -16,9 +16,9 @@ import (
 //
 // Each field pass is split into z-planes of the output on the default
 // pool. Every probe is an independent ScalarSampler/VectorSampler.Sample
-// at the same position the serial walk would use, so the output is
-// bit-identical to it (and to the per-probe SampleScalarField path) on
-// any worker count.
+// at exactly the position PointPosition or CellCenter gives for its id,
+// so the output is bit-identical to per-probe SampleScalarField /
+// SampleVector calls on any worker count.
 func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	out, err := NewCubeGrid(n)
 	if err != nil {
@@ -40,21 +40,21 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	points, centers := newLattice(out, 0), newLattice(out, 0.5)
 	for name := range g.cellFields {
 		s := ScalarSamplerFor(g, g.pointFields[name])
-		centers.scalars(pool, s, out.AddCellField(name))
-		points.scalars(pool, s, out.AddPointField(name))
+		sample(pool, centers, s, out.AddCellField(name))
+		sample(pool, points, s, out.AddPointField(name))
 	}
 	for name, src := range g.pointFields {
 		if out.pointFields[name] != nil {
 			continue // already produced alongside the cell field
 		}
-		points.scalars(pool, ScalarSamplerFor(g, src), out.AddPointField(name))
+		sample(pool, points, ScalarSamplerFor(g, src), out.AddPointField(name))
 	}
 	for name := range g.pointVectors {
 		s, err := NewVectorSampler(g, name)
 		if err != nil {
 			return nil, err
 		}
-		points.vectors(pool, s, out.AddPointVector(name))
+		sample(pool, points, s, out.AddPointVector(name))
 	}
 	return out, nil
 }
@@ -82,10 +82,13 @@ func newLattice(g *UniformGrid, offset float64) lattice {
 	return lattice{axis(0, n[0]), axis(1, n[1]), axis(2, n[2])}
 }
 
-// scalars fills dst with proto's samples at every probe (0 outside the
-// source), one z-plane per loop iteration. Samplers cache their last
-// cell, so each chunk samples through its own copy.
-func (l lattice) scalars(pool *par.Pool, proto *ScalarSampler, dst []float64) {
+// sample fills dst with proto's samples at every probe of l (zero
+// outside the source), one z-plane per loop iteration. Samplers cache
+// their last cell, so each chunk samples through its own copy.
+func sample[T any, S any, P interface {
+	*S
+	Sample(Vec3) (T, bool)
+}](pool *par.Pool, l lattice, proto P, dst []T) {
 	plane := len(l.x) * len(l.y)
 	pool.For(len(l.z), 0, func(lo, hi, _ int) {
 		s := *proto
@@ -93,32 +96,7 @@ func (l lattice) scalars(pool *par.Pool, proto *ScalarSampler, dst []float64) {
 		for _, z := range l.z[lo:hi] {
 			for _, y := range l.y {
 				for _, x := range l.x {
-					v, ok := s.Sample(Vec3{x, y, z})
-					if !ok {
-						v = 0
-					}
-					dst[id] = v
-					id++
-				}
-			}
-		}
-	})
-}
-
-// vectors is scalars for a point vector field.
-func (l lattice) vectors(pool *par.Pool, proto *VectorSampler, dst []Vec3) {
-	plane := len(l.x) * len(l.y)
-	pool.For(len(l.z), 0, func(lo, hi, _ int) {
-		s := *proto
-		id := lo * plane
-		for _, z := range l.z[lo:hi] {
-			for _, y := range l.y {
-				for _, x := range l.x {
-					v, ok := s.Sample(Vec3{x, y, z})
-					if !ok {
-						v = Vec3{}
-					}
-					dst[id] = v
+					dst[id], _ = P(&s).Sample(Vec3{x, y, z})
 					id++
 				}
 			}

@@ -277,9 +277,9 @@ func TestSweepScratchReuse(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, func() {
 			s.SweepXY(dt, pool, nil)
 		})
-		// refreshEOS reductions may allocate a few accumulator cells;
-		// the per-chunk []state5 buffers (16 chunks x 2 sweeps) must not
-		// show up.
+		// Each pool.For dispatch may allocate its loop closure; the
+		// per-chunk []state5 row buffers (2 sweeps x their chunks) must
+		// not show up.
 		if allocs > 8 {
 			t.Errorf("secondOrder=%v: SweepXY allocates %v objects/run, want scratch reuse (<= 8)", secondOrder, allocs)
 		}
