@@ -90,7 +90,7 @@ func BenchmarkAdvectPaths(b *testing.B) {
 
 // BenchmarkCloverSweep measures the hydro solver's split sweeps through
 // their public entry points at 64³ and 128³: "xy" is SweepXY (the x and
-// y sweeps with their fused EOS refresh, two cell-sweeps per cell) and
+// y sweeps with their EOS refresh passes, two cell-sweeps per cell) and
 // "z" is SweepZ, the sweep whose pencils stride a whole plane per cell.
 // internal/sim/clover's BenchmarkSweepAxis splits x from y.
 func BenchmarkCloverSweep(b *testing.B) {

@@ -241,9 +241,7 @@ func rusanov(l, r state5, pl, pr, cl, cr float64) state5 {
 }
 
 // sweep performs one dimensionally-split update along axis dir (0,1,2)
-// with timestep dt. With eos set it also refreshes pressure and sound
-// speed of each cell right after the cell's update, so the next sweep
-// sees consistent primitives without a separate pass over the grid.
+// with timestep dt.
 //
 // Pencils along the sweep axis are independent. The parallel unit is a
 // row of pencils that sit next to each other in x: for y and z a row is
@@ -251,13 +249,11 @@ func rusanov(l, r state5, pl, pr, cl, cr float64) state5 {
 // two cells each face reads are contiguous across the row instead of nx
 // or nx·ny cells apart. x pencils are contiguous already and form rows
 // of one. See rowSweep.row for the face order.
-func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell, eos bool) {
+func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
 	nx, nxy := s.nx, s.nx*s.ny
 	w := rowSweep{
-		lambda: dt / s.h, g1: s.opts.Gamma - 1, gamma: s.opts.Gamma,
-		second: s.opts.SecondOrder, eos: eos,
+		lambda: dt / s.h, second: s.opts.SecondOrder,
 		rho: s.rho, etot: s.etot, prs: s.prs, snd: s.snd,
-		mx: s.mx, my: s.my, mz: s.mz,
 		ghostLo: ghostLo, ghostHi: ghostHi,
 	}
 	var rows, rowStep int
@@ -302,13 +298,6 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, gh
 			rec.Stores(nc*5*8, pattern)
 			rec.Flops(nc * 55)
 			rec.Branches(nc * 2)
-			if eos {
-				// EOS refresh: 5 field loads + 2 stores, ~20 flops.
-				rec.Loads(nc*5*8, ops.Stream)
-				rec.Stores(nc*2*8, ops.Stream)
-				rec.Flops(nc * 20)
-				rec.Branches(nc)
-			}
 		}
 		pool.PutScratch(sweepScratchKey{}, ss)
 	})
@@ -318,11 +307,10 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, gh
 // pool workers.
 type rowSweep struct {
 	n, width, stride  int // cells per pencil, pencils per row, axis step
-	lambda, g1, gamma float64
-	second, eos       bool
+	lambda            float64
+	second            bool
 	rho, mn, mt1, mt2 []float64 // mn/mt1/mt2: normal/transverse momenta
 	etot, prs, snd    []float64
-	mx, my, mz        []float64 // the same momenta in x/y/z order (EOS)
 	ghostLo, ghostHi  []GhostCell
 }
 
@@ -334,10 +322,9 @@ type rowSweep struct {
 // textbook per-pencil sweep's, so the fields are bit-identical to it.
 func (w *rowSweep) row(base int, fluxes, slopes []state5) {
 	n, width, stride := w.n, w.width, w.stride
-	lambda, g1, gamma := w.lambda, w.g1, w.gamma
-	second, eos := w.second, w.eos
+	lambda, second := w.lambda, w.second
 	rho, mn, mt1, mt2, etot := w.rho, w.mn, w.mt1, w.mt2, w.etot
-	prs, snd, mx, my, mz := w.prs, w.snd, w.mx, w.my, w.mz
+	prs, snd := w.prs, w.snd
 
 	// Face 0: a reflective wall (the mirror state with reversed normal
 	// momentum, so mass and energy flux vanish) or, on the z axis of a
@@ -407,9 +394,6 @@ func (w *rowSweep) row(base int, fluxes, slopes []state5) {
 				rho[cl] = 1e-10
 			}
 			*b = f
-			if eos {
-				prs[cl], snd[cl] = primitives(g1, gamma, rho[cl], mx[cl], my[cl], mz[cl], etot[cl])
-			}
 		}
 	}
 }
@@ -424,6 +408,26 @@ func primitives(g1, gamma, rho, mx, my, mz, e float64) (p, cs float64) {
 		p = 1e-12
 	}
 	return p, math.Sqrt(gamma * p * inv)
+}
+
+// refreshEOS recomputes pressure and sound speed (used between split
+// sweeps so each sweep sees consistent primitives). A separate streaming
+// pass measured faster than refreshing each cell inside the sweep.
+func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
+	gamma, g1 := s.opts.Gamma, s.opts.Gamma-1
+	pool.For(s.NumCells(), 0, func(lo, hi, worker int) {
+		for c := lo; c < hi; c++ {
+			s.prs[c], s.snd[c] = primitives(g1, gamma, s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c])
+		}
+		if recs != nil {
+			rec := &recs[worker]
+			nn := uint64(hi - lo)
+			rec.Loads(nn*5*8, ops.Stream)
+			rec.Stores(nn*2*8, ops.Stream)
+			rec.Flops(nn * 20)
+			rec.Branches(nn)
+		}
+	})
 }
 
 // sweepScratch holds the per-chunk row buffers of sweep, leased from
@@ -520,8 +524,10 @@ func (s *Sim) DT(maxSpeed float64) float64 {
 // SweepXY runs the x and y sweeps (which never cross z-slab boundaries)
 // with EOS refreshes, leaving the primitives consistent for the z sweep.
 func (s *Sim) SweepXY(dt float64, pool *par.Pool, recs []ops.Recorder) {
-	s.sweep(0, dt, pool, recs, nil, nil, true)
-	s.sweep(1, dt, pool, recs, nil, nil, true)
+	s.sweep(0, dt, pool, recs, nil, nil)
+	s.refreshEOS(pool, recs)
+	s.sweep(1, dt, pool, recs, nil, nil)
+	s.refreshEOS(pool, recs)
 }
 
 // ZBoundary copies the subdomain's first and last z layers (after the x/y
@@ -545,7 +551,7 @@ func (s *Sim) ZBoundary() (lo, hi []GhostCell) {
 // neighboring rank's boundary layers (one GhostCell per (i,j) pencil, in
 // i-fastest order); a nil side is a reflective physical wall.
 func (s *Sim) SweepZ(dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
-	s.sweep(2, dt, pool, recs, ghostLo, ghostHi, false)
+	s.sweep(2, dt, pool, recs, ghostLo, ghostHi)
 }
 
 // FinishStep advances the clock after the sweeps.
