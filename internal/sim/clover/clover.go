@@ -176,15 +176,22 @@ func (s *Sim) StepCount() int { return s.step }
 // eosAndSpeeds fills pressure and sound speed and returns the maximum
 // signal speed |u|+c over the domain (for the CFL condition).
 func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
-	gamma, g1 := s.opts.Gamma, s.opts.Gamma-1
+	g1 := s.opts.Gamma - 1
 	nc := s.NumCells()
 	maxSpeed := par.Reduce(pool, nc, 0,
 		func() float64 { return 0 },
 		func(lo, hi int, acc float64) float64 {
 			for c := lo; c < hi; c++ {
-				p, cs := primitives(g1, gamma, s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c])
-				s.prs[c], s.snd[c] = p, cs
-				inv := 1 / s.rho[c]
+				r := s.rho[c]
+				inv := 1 / r
+				ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
+				p := g1 * (s.etot[c] - ke)
+				if p < 1e-12 {
+					p = 1e-12
+				}
+				s.prs[c] = p
+				cs := math.Sqrt(s.opts.Gamma * p * inv)
+				s.snd[c] = cs
 				u := math.Sqrt(s.mx[c]*s.mx[c]+s.my[c]*s.my[c]+s.mz[c]*s.mz[c]) * inv
 				if u+cs > acc {
 					acc = u + cs
@@ -398,38 +405,6 @@ func (w *rowSweep) row(base int, fluxes, slopes []state5) {
 	}
 }
 
-// primitives is the ideal-gas EOS of one cell: pressure (floored at
-// 1e-12) and sound speed from the conserved state.
-func primitives(g1, gamma, rho, mx, my, mz, e float64) (p, cs float64) {
-	inv := 1 / rho
-	ke := 0.5 * (mx*mx + my*my + mz*mz) * inv
-	p = g1 * (e - ke)
-	if p < 1e-12 {
-		p = 1e-12
-	}
-	return p, math.Sqrt(gamma * p * inv)
-}
-
-// refreshEOS recomputes pressure and sound speed (used between split
-// sweeps so each sweep sees consistent primitives). A separate streaming
-// pass measured faster than refreshing each cell inside the sweep.
-func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
-	gamma, g1 := s.opts.Gamma, s.opts.Gamma-1
-	pool.For(s.NumCells(), 0, func(lo, hi, worker int) {
-		for c := lo; c < hi; c++ {
-			s.prs[c], s.snd[c] = primitives(g1, gamma, s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c])
-		}
-		if recs != nil {
-			rec := &recs[worker]
-			nn := uint64(hi - lo)
-			rec.Loads(nn*5*8, ops.Stream)
-			rec.Stores(nn*2*8, ops.Stream)
-			rec.Flops(nn * 20)
-			rec.Branches(nn)
-		}
-	})
-}
-
 // sweepScratch holds the per-chunk row buffers of sweep, leased from
 // the worker pool's scratch store across sweeps and steps.
 type sweepScratch struct {
@@ -491,6 +466,34 @@ func addHalf(u, slope state5, sign float64) state5 {
 		mt2: u.mt2 + h*slope.mt2,
 		e:   u.e + h*slope.e,
 	}
+}
+
+// refreshEOS recomputes pressure and sound speed (used between split
+// sweeps so each sweep sees consistent primitives).
+func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
+	g1 := s.opts.Gamma - 1
+	nc := s.NumCells()
+	pool.For(nc, 0, func(lo, hi, worker int) {
+		for c := lo; c < hi; c++ {
+			r := s.rho[c]
+			inv := 1 / r
+			ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
+			p := g1 * (s.etot[c] - ke)
+			if p < 1e-12 {
+				p = 1e-12
+			}
+			s.prs[c] = p
+			s.snd[c] = math.Sqrt(s.opts.Gamma * p * inv)
+		}
+		if recs != nil {
+			rec := &recs[worker]
+			nn := uint64(hi - lo)
+			rec.Loads(nn*5*8, ops.Stream)
+			rec.Stores(nn*2*8, ops.Stream)
+			rec.Flops(nn * 20)
+			rec.Branches(nn)
+		}
+	})
 }
 
 // GhostCell is one halo cell's state as exchanged between z-slab ranks:
