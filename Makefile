@@ -1,6 +1,9 @@
 # Build/test/benchmark wiring for the vizpower reproduction.
 #
-#   make check   - vet + build + full test suite + short race pass
+#   make check   - vet (root module and perfbench) + build + full test
+#                  suite + short race pass
+#   make loc     - print the non-test Go line count ROADMAP.md tracks
+#                  (perfbench excluded)
 #   make race    - the short -race run on the runtime, mesh layer, hydro
 #                  proxy, rank fabric, and two kernels (the packages with
 #                  real cross-goroutine traffic), plus the harness
@@ -52,15 +55,20 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/sim/clover ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
-.PHONY: check vet build test race bench bench-render bench-advect bench-advect-dist bench-serve bench-dpp bench-govern bench-obs govern profile serve
+.PHONY: check vet build test race loc bench bench-render bench-advect bench-advect-dist bench-serve bench-dpp bench-govern bench-obs govern profile serve
 
 check: vet build test race
 
+# perfbench is its own module, so the root ./... never builds it.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 test: vet
 	$(GO) test -timeout 120s ./...

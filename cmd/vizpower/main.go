@@ -8,21 +8,15 @@
 //
 // Commands:
 //
-//	table1    Phase 1 — contour slowdown vs. power cap (Table I)
-//	table2    Phase 2 — all algorithms at the phase size (Table II)
-//	table3    Phase 3 — all algorithms at the largest size (Table III)
+//	table1 table2 table3 classify energy fig2a fig2b fig2c fig3 fig4 fig5 fig6
+//	          print one of the paper's tables or figures (the list is
+//	          harness.Artifacts; figures print as text, or CSV with -csv;
+//	          classify -extended adds the extension filters)
 //	fig1      render the eight algorithm images (Figure 1) into -out
-//	fig2a     effective frequency vs. cap, all algorithms (Figure 2a)
-//	fig2b     IPC vs. cap (Figure 2b)
-//	fig2c     LLC miss rate vs. cap (Figure 2c)
-//	fig3      elements/s vs. cap, cell-centered algorithms (Figure 3)
-//	fig4      IPC vs. cap by size — slice (Figure 4)
-//	fig5      IPC vs. cap by size — volume rendering (Figure 5)
-//	fig6      IPC vs. cap by size — particle advection (Figure 6)
 //	advect    distributed parallelize-over-data particle advection:
-//	          sweep -ranks fabric sizes, check bit-identity against the
-//	          single-rank run, and report the migration breakdown
-//	classify  demand power / IPC / miss rate / class per algorithm
+//	          sweep -ranks fabric sizes (-adaptive: BS23 integrator),
+//	          check bit-identity against the single-rank run, and
+//	          report the migration breakdown
 //	trace     in situ power timeline under a cap (simulate+visualize)
 //	profile   execution telemetry: run in situ cycles under a cap and
 //	          write a Perfetto-loadable trace.json plus a stage summary
@@ -63,11 +57,9 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/harness"
-	"repro/internal/mesh"
 	"repro/internal/msr"
 	"repro/internal/obs"
 	"repro/internal/perfctr"
-	"repro/internal/power"
 	"repro/internal/rapl"
 	"repro/internal/serve"
 	"repro/internal/sim/clover"
@@ -263,79 +255,11 @@ func run(args []string) (retErr error) {
 		}()
 	}
 
-	emitFig := func(title string, series []harness.Series) {
-		if opt.csv {
-			fmt.Print(harness.SeriesCSV("cap_watts", series))
-		} else {
-			fmt.Print(harness.FormatSeries(title, "cap (W)", series))
-		}
-	}
-
 	switch cmd {
-	case "table1":
-		run1, err := c.Phase1()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.Table1(run1, c.Caps))
-	case "table2":
-		runs, err := c.Phase2()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.Table2(runs, c.Caps))
-	case "table3":
-		sizes := c.SortedSizes()
-		runs, err := c.RunAll(sizes[len(sizes)-1])
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.Table3(runs, c.Caps))
 	case "fig1":
-		paths, err := c.RenderFig1(c.PhaseSize, opt.figSize, opt.out)
-		if err != nil {
+		if err := renderFig1(c, opt.figSize, opt.out); err != nil {
 			return err
 		}
-		for _, p := range paths {
-			fmt.Println("wrote", p)
-		}
-	case "fig2a", "fig2b", "fig2c", "fig3":
-		runs, err := c.Phase2()
-		if err != nil {
-			return err
-		}
-		switch cmd {
-		case "fig2a":
-			emitFig("Figure 2a — effective frequency (GHz) vs. power cap", harness.Fig2a(runs, c.Caps))
-		case "fig2b":
-			emitFig("Figure 2b — IPC vs. power cap", harness.Fig2b(runs, c.Caps))
-		case "fig2c":
-			emitFig("Figure 2c — LLC miss rate vs. power cap", harness.Fig2c(runs, c.Caps))
-		case "fig3":
-			emitFig("Figure 3 — elements (M)/sec, cell-centered algorithms", harness.Fig3(runs, c.Caps))
-		}
-	case "fig4", "fig5", "fig6":
-		name := map[string]string{
-			"fig4": "Slice", "fig5": "Volume Rendering", "fig6": "Particle Advection",
-		}[cmd]
-		bySize, err := c.RunsBySize(name)
-		if err != nil {
-			return err
-		}
-		emitFig(fmt.Sprintf("Figure %s — %s IPC vs. power cap by data-set size", cmd[3:], name),
-			harness.FigIPCBySize(bySize, c.SortedSizes(), c.Caps))
-	case "classify", "demand":
-		var runs []*harness.AlgoRun
-		var err error
-		if opt.extended {
-			runs, err = c.RunAllExtended(c.PhaseSize)
-		} else {
-			runs, err = c.Phase2()
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.DemandTable(runs))
 	case "arch":
 		rows, err := c.CompareArchitectures(opt.alg, harness.Architectures())
 		if err != nil {
@@ -346,12 +270,6 @@ func run(args []string) (retErr error) {
 		return exportCmd(c, opt)
 	case "cinema":
 		return cinemaCmd(c, opt)
-	case "energy":
-		runs, err := c.Phase2()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.EnergyTable(runs, c.Caps))
 	case "verify":
 		claims, err := c.CheckClaims()
 		if err != nil {
@@ -363,8 +281,6 @@ func run(args []string) (retErr error) {
 		}
 	case "overprovision":
 		return overprovisionCmd(c, opt)
-	case "feedback":
-		return feedbackCmd(c, opt)
 	case "govern":
 		return governCmd(c, opt)
 	case "advect":
@@ -381,9 +297,28 @@ func run(args []string) (retErr error) {
 		if err := allCmd(c, opt); err != nil {
 			return err
 		}
+	case "classify", "demand":
+		// -extended adds the extension filters; plain classify is the
+		// paper's artifact.
+		if opt.extended {
+			runs, err := c.RunAllExtended(c.PhaseSize)
+			if err != nil {
+				return err
+			}
+			fmt.Print(harness.DemandTable(runs))
+			break
+		}
+		cmd = "classify"
+		fallthrough
 	default:
-		usage()
-		return fmt.Errorf("unknown command %q", cmd)
+		a := harness.ArtifactByID(cmd)
+		if a == nil {
+			usage()
+			return fmt.Errorf("unknown command %q", cmd)
+		}
+		if err := printArtifact(c, a, opt.csv); err != nil {
+			return err
+		}
 	}
 	reportFailures(c)
 	return nil
@@ -554,59 +489,20 @@ func overprovisionCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-// feedbackCmd runs the closed-loop GEOPM-style controller over an in situ
-// cycle sequence and reports how it tracked the average-power target.
-func feedbackCmd(c *harness.Config, opt *options) error {
-	sim, err := clover.New(c.PhaseSize/2, clover.Options{})
-	if err != nil {
-		return err
-	}
-	pipe, err := core.NewPipeline(sim, c.Filters()[:2], 10, c.Pool, c.Spec)
-	if err != nil {
-		return err
-	}
-	var segs []cpu.Execution
-	for i := 0; i < opt.cycles; i++ {
-		cr, err := pipe.RunCycle()
-		if err != nil {
-			return err
-		}
-		segs = append(segs, cr.SimExec, cr.VizExec)
-	}
-	pkg := rapl.NewPackage(msr.NewFile(), c.Spec)
-	res, err := power.RunFeedback(pkg, segs, opt.capW, 0, 0.1)
-	if err != nil {
-		return err
-	}
-	if opt.csv {
-		return perfctr.WriteCSV(os.Stdout, res.Samples)
-	}
-	static := 0.0
-	for _, e := range segs {
-		static += e.UnderCap(opt.capW).TimeSec
-	}
-	fmt.Printf("feedback capping: %d segments, target average %.0f W\n", len(segs), opt.capW)
-	fmt.Printf("achieved average %.2f W in %.4fs (static %.0f W cap: %.4fs, %.2fx slower)\n",
-		res.AvgPowerWatts, res.TimeSec, opt.capW, static, static/res.TimeSec)
-	fmt.Printf("controller settled at a %.1f W limit\n", res.FinalCapWatts)
-	return nil
-}
-
 // governBudgets is the default budget ladder of the closed-loop sweep:
 // below, at, and above the 70 W sensitivity boundary.
 var governBudgets = []float64{55, 65, 75}
+
+// governCycles floors -cycles for the governor sweep: the closed loop
+// needs a few feedback rounds to settle, and below six cycles the
+// comparison mostly measures its discovery transient.
+func governCycles(opt *options) int { return max(opt.cycles, 6) }
 
 // governCmd sweeps the phase-aware closed-loop governor against the
 // static phase plan and the uniform cap on a live in situ pipeline at
 // the phase size.
 func governCmd(c *harness.Config, opt *options) error {
-	// The closed loop needs a few feedback rounds to settle; below six
-	// cycles the comparison mostly measures its discovery transient.
-	cycles := opt.cycles
-	if cycles < 6 {
-		cycles = 6
-	}
-	res, err := c.GovernorCompare(c.PhaseSize, governBudgets, cycles)
+	res, err := c.GovernorCompare(c.PhaseSize, governBudgets, governCycles(opt))
 	if err != nil {
 		return err
 	}
@@ -628,21 +524,15 @@ func governCmd(c *harness.Config, opt *options) error {
 // advection over the configured fabric sizes at the phase size, checks
 // every gathered streamline set against the single-rank run bit for
 // bit, and prints the Wang et al. (arXiv 2410.09710) migration
-// breakdown. The fixed-step sweep goes through the cached harness cells
-// (the same ones report.md renders); -adaptive exercises the BS23
-// integrator directly, since the study cells are fixed-step like the
-// paper's.
+// breakdown. -adaptive sweeps the BS23 integrator instead of the
+// paper's fixed-step RK4 (report.md covers only fixed-step cells).
 func advectCmd(c *harness.Config, opt *options) error {
 	size := c.PhaseSize
 	mode := "fixed-step RK4"
-	var runs []*harness.AdvectDistRun
-	var err error
 	if opt.adaptive {
 		mode = "adaptive BS23"
-		runs, err = advectAdaptiveRuns(c, size)
-	} else {
-		runs, err = c.AdvectScaling(size)
 	}
+	runs, err := c.AdvectScaling(size, opt.adaptive)
 	if err != nil {
 		return err
 	}
@@ -679,87 +569,6 @@ func advectCmd(c *harness.Config, opt *options) error {
 		}
 	}
 	return nil
-}
-
-// advectAdaptiveRuns is the -adaptive variant of the rank sweep: it
-// bypasses the harness cell cache (which holds the paper's fixed-step
-// configuration) and compares dist.Advect in BS23 mode against the
-// matching single-rank run.
-func advectAdaptiveRuns(c *harness.Config, size int) ([]*harness.AdvectDistRun, error) {
-	g, err := c.Dataset(size)
-	if err != nil {
-		return nil, err
-	}
-	f := advect.New(advect.Options{
-		Vector:       "velocity",
-		NumParticles: c.Particles,
-		NumSteps:     c.ParticleSteps,
-		Adaptive:     true,
-	})
-	t0 := time.Now()
-	res, err := f.Run(g, viz.NewExec(c.Pool))
-	if err != nil {
-		return nil, err
-	}
-	oracleWall := time.Since(t0).Seconds()
-	var out []*harness.AdvectDistRun
-	for _, rk := range c.Ranks {
-		if rk < 1 || rk > size {
-			continue
-		}
-		t1 := time.Now()
-		dres, err := dist.Advect(g, f, rk, dist.AdvectOptions{
-			Fabric:   dist.Options{Tracer: c.Tracer},
-			Deadline: 5 * time.Minute,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("advect: ranks=%d: %w", rk, err)
-		}
-		run := &harness.AdvectDistRun{
-			Size: size, Ranks: rk,
-			Rounds: dres.Rounds, Ghost: dres.Ghost,
-			WallSec: time.Since(t1).Seconds(), OracleWallSec: oracleWall,
-			ParticleSteps: dres.Lines.TotalPoints(),
-			Identical:     linesMatch(res.Lines, dres.Lines),
-			Stats:         dres.Stats,
-		}
-		var total, max uint64
-		for _, s := range dres.Stats {
-			total += s.Steps
-			if s.Steps > max {
-				max = s.Steps
-			}
-			run.Migrated += s.MigratedOut
-			run.PingPong += s.PingPong
-			run.IdleNs += s.IdleNs
-		}
-		if max > 0 {
-			run.Participation = float64(total) / (float64(rk) * float64(max))
-		}
-		out = append(out, run)
-	}
-	return out, nil
-}
-
-// linesMatch reports bit-exact equality of two streamline sets.
-func linesMatch(a, b *mesh.LineSet) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Points) != len(b.Points) || len(a.Scalars) != len(b.Scalars) || len(a.Offsets) != len(b.Offsets) {
-		return false
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] || a.Scalars[i] != b.Scalars[i] {
-			return false
-		}
-	}
-	for i := range a.Offsets {
-		if a.Offsets[i] != b.Offsets[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // traceCmd runs the in situ pipeline under a cap and prints the sampled
@@ -978,95 +787,94 @@ func allocateCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
+// printArtifact prints one of the paper's tables or figures: a figure
+// as aligned text under its title, or as CSV with -csv.
+func printArtifact(c *harness.Config, a *harness.Artifact, csv bool) error {
+	cells := harness.NewCells(c)
+	if a.Text != nil {
+		text, err := a.Text(cells)
+		fmt.Print(text) // empty on error
+		return err
+	}
+	series, err := a.Series(cells)
+	switch {
+	case err != nil:
+		return err
+	case csv:
+		fmt.Print(harness.SeriesCSV("cap_watts", series))
+	default:
+		fmt.Print(harness.FormatSeries(a.Title, "cap (W)", series))
+	}
+	return nil
+}
+
+// renderFig1 renders the Figure 1 images at the phase size into dir.
+func renderFig1(c *harness.Config, figSize int, dir string) error {
+	paths, err := c.RenderFig1(c.PhaseSize, figSize, dir)
+	for _, p := range paths {
+		fmt.Println("wrote", p)
+	}
+	return err
+}
+
 // allCmd regenerates every artifact into the output directory.
 func allCmd(c *harness.Config, opt *options) error {
 	if err := os.MkdirAll(opt.out, 0o755); err != nil {
 		return err
 	}
-	write := func(name, content string) error {
+	// The first failed write is kept and returned; later writes are
+	// skipped.
+	var werr error
+	write := func(name, content string) {
 		path := filepath.Join(opt.out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
+		if werr == nil {
+			if werr = os.WriteFile(path, []byte(content), 0o644); werr == nil {
+				fmt.Println("wrote", path)
+			}
 		}
-		fmt.Println("wrote", path)
-		return nil
 	}
 	// One bad cell must cost its own artifacts, not the whole campaign:
 	// each phase degrades independently and the failures land in the
-	// report (and failures.txt) instead of aborting the sweep.
+	// report (and failures.txt) instead of aborting the sweep. Only a
+	// failed Phase 2, which most artifacts and the claims read, aborts.
 	skip := func(artifact string, err error) {
 		fmt.Fprintf(os.Stderr, "vizpower: %s skipped: %v\n", artifact, err)
 	}
-	run1, err := c.Phase1()
-	if err != nil {
-		skip("table1", err)
-	} else if err := write("table1.txt", harness.Table1(run1, c.Caps)); err != nil {
-		return err
-	}
-	runs2, err := c.Phase2()
+	cells := harness.NewCells(c)
+	runs2, err := cells.Phase2()
 	if err != nil {
 		return err
 	}
-	if err := write("table2.txt", harness.Table2(runs2, c.Caps)); err != nil {
-		return err
-	}
-	if err := write("classification.txt", harness.DemandTable(runs2)); err != nil {
-		return err
-	}
-	sizes := c.SortedSizes()
-	runs3, err := c.RunAll(sizes[len(sizes)-1])
-	if err != nil {
-		skip("table3", err)
-	} else if err := write("table3.txt", harness.Table3(runs3, c.Caps)); err != nil {
-		return err
-	}
-	type figure struct {
-		name, title, ylabel string
-		series              []harness.Series
-	}
-	figs := []figure{
-		{"fig2a", "Figure 2a — Effective Frequency", "Effective Frequency (GHz)", harness.Fig2a(runs2, c.Caps)},
-		{"fig2b", "Figure 2b — Instructions Per Cycle", "IPC", harness.Fig2b(runs2, c.Caps)},
-		{"fig2c", "Figure 2c — LLC Miss Rate", "Last Level Cache Miss Rate", harness.Fig2c(runs2, c.Caps)},
-		{"fig3", "Figure 3 — Cell-Centered Throughput", "Elements (M)/sec", harness.Fig3(runs2, c.Caps)},
-	}
-	for _, fig := range []struct{ name, alg string }{
-		{"fig4", "Slice"}, {"fig5", "Volume Rendering"}, {"fig6", "Particle Advection"},
-	} {
-		bySize, err := c.RunsBySize(fig.alg)
-		if err != nil {
-			skip(fig.name, err)
-			continue
+	for _, a := range harness.Artifacts {
+		switch {
+		case a.Text != nil:
+			text, err := a.Text(cells)
+			if err != nil {
+				skip(a.ID, err)
+				continue
+			}
+			write(a.File, text)
+		case a.Series != nil:
+			series, err := a.Series(cells)
+			if err != nil {
+				skip(a.ID, err)
+				continue
+			}
+			var svg strings.Builder
+			if err := harness.WriteSVGFigure(&svg, a.Title, a.YLabel, series); err != nil {
+				return err
+			}
+			write(a.ID+".csv", harness.SeriesCSV("cap_watts", series))
+			write(a.ID+".svg", svg.String())
+		default:
+			if err := renderFig1(c, opt.figSize, filepath.Join(opt.out, a.ID)); err != nil {
+				return err
+			}
 		}
-		figs = append(figs, figure{
-			fig.name,
-			fmt.Sprintf("Figure %s — %s IPC by Data Set Size", strings.TrimPrefix(fig.name, "fig"), fig.alg),
-			"IPC",
-			harness.FigIPCBySize(bySize, sizes, c.Caps),
-		})
-	}
-	for _, fig := range figs {
-		if err := write(fig.name+".csv", harness.SeriesCSV("cap_watts", fig.series)); err != nil {
-			return err
-		}
-		var svg strings.Builder
-		if err := harness.WriteSVGFigure(&svg, fig.title, fig.ylabel, fig.series); err != nil {
-			return err
-		}
-		if err := write(fig.name+".svg", svg.String()); err != nil {
-			return err
-		}
-	}
-	paths, err := c.RenderFig1(c.PhaseSize, opt.figSize, filepath.Join(opt.out, "fig1"))
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		fmt.Println("wrote", p)
 	}
 	// The distributed-advection rank sweep feeds its own report section;
 	// a wedged fabric degrades like any other phase.
-	if _, err := c.AdvectScaling(c.PhaseSize); err != nil {
+	if _, err := c.AdvectScaling(c.PhaseSize, false); err != nil {
 		skip("advect scaling", err)
 	}
 	// The backend comparison runs contour and threshold under both the
@@ -1074,21 +882,17 @@ func allCmd(c *harness.Config, opt *options) error {
 	// backend" section (per-backend classification).
 	if pairs, err := c.BackendCompare(c.PhaseSize); err != nil {
 		skip("backend compare", err)
-	} else if err := write("backends.txt", harness.BackendTable(pairs)); err != nil {
-		return err
+	} else {
+		write("backends.txt", harness.BackendTable(pairs))
 	}
 	// -govern adds the closed-loop capping sweep: governor vs static
 	// plan vs uniform cap at the phase size, cached into the report's
 	// "Closed-loop capping" section.
 	if opt.govern {
-		cycles := opt.cycles
-		if cycles < 6 {
-			cycles = 6
-		}
-		if res, err := c.GovernorCompare(c.PhaseSize, governBudgets, cycles); err != nil {
+		if res, err := c.GovernorCompare(c.PhaseSize, governBudgets, governCycles(opt)); err != nil {
 			skip("govern sweep", err)
-		} else if err := write("govern.txt", harness.GovernTable(res)); err != nil {
-			return err
+		} else {
+			write("govern.txt", harness.GovernTable(res))
 		}
 	}
 	// The self-contained campaign report: tables, classification, and
@@ -1102,22 +906,16 @@ func allCmd(c *harness.Config, opt *options) error {
 		skip("claim checks", err)
 		claims = nil
 	}
+	runs3, _ := cells.Largest() // a failure was reported as table3's
 	var report strings.Builder
 	if err := c.WriteReport(&report, runs2, runs3, claims); err != nil {
 		return err
 	}
-	if err := write("report.md", report.String()); err != nil {
-		return err
-	}
-	if err := write("energy.txt", harness.EnergyTable(runs2, c.Caps)); err != nil {
-		return err
-	}
+	write("report.md", report.String())
 	if fs := c.Failures(); len(fs) > 0 {
-		if err := write("failures.txt", harness.FailureReport(fs)); err != nil {
-			return err
-		}
+		write("failures.txt", harness.FailureReport(fs))
 	}
-	return nil
+	return werr
 }
 
 // exportCmd runs every filter at the phase size and writes the outputs as
@@ -1183,10 +981,10 @@ func exportCmd(c *harness.Config, opt *options) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: vizpower <command> [flags]
-commands: table1 table2 table3 fig1 fig2a fig2b fig2c fig3 fig4 fig5 fig6
-          classify [-extended] arch [-alg NAME] export trace allocate
+commands: table1 table2 table3 fig1 fig2a fig2b fig2c fig3 fig4 fig5 fig6 [-csv]
+          classify [-extended] energy arch [-alg NAME] export trace allocate
           advect [-ranks LIST -adaptive] profile [-cap W -cycles N -out DIR -ranks LIST]
-          overprovision [-alg NAME -budget W] feedback [-cap W]
+          overprovision [-alg NAME -budget W] verify cinema
           govern [-cycles N -decisions] serve [-addr HOST:PORT -budget W -queue N -out DIR -govern] all
 run "vizpower <command> -h" for flags; add -quick for a fast demonstration
 global: -trace FILE writes a Perfetto-loadable execution trace of any

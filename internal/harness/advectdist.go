@@ -9,6 +9,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -24,8 +25,8 @@ import (
 const advectDistDeadline = 5 * time.Minute
 
 // advectOracleRun caches the single-rank shared-memory run of one
-// size: the reference streamlines every distributed cell is checked
-// against, plus its wall clock for the speedup column.
+// size and integrator: the reference streamlines every distributed
+// cell is checked against, plus its wall clock for the speedup column.
 type advectOracleRun struct {
 	Lines   *mesh.LineSet
 	WallSec float64
@@ -36,6 +37,10 @@ type advectOracleRun struct {
 type AdvectDistRun struct {
 	Size  int
 	Ranks int
+	// Adaptive marks a cell run with the adaptive BS23 integrator
+	// instead of the paper's fixed-step RK4; the report covers only
+	// fixed-step cells.
+	Adaptive bool
 	// Rounds is the BSP round count to termination; Ghost the halo
 	// width in cell layers.
 	Rounds, Ghost int
@@ -61,12 +66,14 @@ type AdvectDistRun struct {
 }
 
 // advectDistFilter builds the advection filter the distributed cells
-// run — the same configuration as the sweep's shared-memory cell.
-func (c *Config) advectDistFilter() *advect.Filter {
+// run — the same configuration as the sweep's shared-memory cell, with
+// the chosen integrator.
+func (c *Config) advectDistFilter(adaptive bool) *advect.Filter {
 	return advect.New(advect.Options{
 		Vector:       "velocity",
 		NumParticles: c.Particles,
 		NumSteps:     c.ParticleSteps,
+		Adaptive:     adaptive,
 	})
 }
 
@@ -75,49 +82,38 @@ func linesBitEqual(a, b *mesh.LineSet) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if len(a.Points) != len(b.Points) || len(a.Scalars) != len(b.Scalars) || len(a.Offsets) != len(b.Offsets) {
-		return false
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] || a.Scalars[i] != b.Scalars[i] {
-			return false
-		}
-	}
-	for i := range a.Offsets {
-		if a.Offsets[i] != b.Offsets[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Points, b.Points) && slices.Equal(a.Scalars, b.Scalars) && slices.Equal(a.Offsets, b.Offsets)
 }
 
-// advectOracle runs (and caches) the single-rank shared-memory
+// advectOracleRun runs (and caches) the single-rank shared-memory
 // advection at one size.
-func (c *Config) advectOracleRun(size int) (*advectOracleRun, error) {
-	if or, ok := c.advectOracle[size]; ok {
+func (c *Config) advectOracleRun(size int, adaptive bool) (*advectOracleRun, error) {
+	key := fmt.Sprintf("%d/%t", size, adaptive)
+	if or, ok := c.advectOracle[key]; ok {
 		return or, nil
 	}
 	g, err := c.Dataset(size)
 	if err != nil {
 		return nil, err
 	}
-	f := c.advectDistFilter()
+	f := c.advectDistFilter(adaptive)
 	t0 := time.Now()
 	res, err := f.Run(g, viz.NewExec(c.Pool))
 	if err != nil {
 		return nil, fmt.Errorf("harness: advect oracle at %d^3: %w", size, err)
 	}
 	or := &advectOracleRun{Lines: res.Lines, WallSec: time.Since(t0).Seconds()}
-	c.advectOracle[size] = or
+	c.advectOracle[key] = or
 	return or, nil
 }
 
 // AdvectDist executes (cached) one distributed advection cell at the
-// given size and rank count, checking the gathered streamlines
-// against the single-rank oracle.
-func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
+// given size and rank count, with the adaptive BS23 or the fixed-step
+// RK4 integrator, checking the gathered streamlines against the
+// single-rank oracle of the same integrator.
+func (c *Config) AdvectDist(size, ranks int, adaptive bool) (*AdvectDistRun, error) {
 	c.Defaults()
-	key := fmt.Sprintf("%d/%d", size, ranks)
+	key := fmt.Sprintf("%d/%d/%t", size, ranks, adaptive)
 	if r, ok := c.advectRuns[key]; ok {
 		return r, nil
 	}
@@ -125,11 +121,11 @@ func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	or, err := c.advectOracleRun(size)
+	or, err := c.advectOracleRun(size, adaptive)
 	if err != nil {
 		return nil, err
 	}
-	f := c.advectDistFilter()
+	f := c.advectDistFilter(adaptive)
 	t0 := time.Now()
 	res, err := dist.Advect(g, f, ranks, dist.AdvectOptions{
 		Fabric:   dist.Options{Tracer: c.Tracer},
@@ -141,7 +137,7 @@ func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
 		return nil, fmt.Errorf("harness: distributed advect at %d^3 on %d ranks: %w", size, ranks, err)
 	}
 	run := &AdvectDistRun{
-		Size: size, Ranks: ranks,
+		Size: size, Ranks: ranks, Adaptive: adaptive,
 		Rounds: res.Rounds, Ghost: res.Ghost,
 		WallSec: wall, OracleWallSec: or.WallSec,
 		ParticleSteps: res.Lines.TotalPoints(),
@@ -169,7 +165,7 @@ func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
 // AdvectScaling sweeps the distributed advection cell over every
 // configured rank count at one size (rank counts exceeding the cell
 // layers are skipped), returning the runs ascending by rank count.
-func (c *Config) AdvectScaling(size int) ([]*AdvectDistRun, error) {
+func (c *Config) AdvectScaling(size int, adaptive bool) ([]*AdvectDistRun, error) {
 	c.Defaults()
 	var out []*AdvectDistRun
 	var firstErr error
@@ -178,7 +174,7 @@ func (c *Config) AdvectScaling(size int) ([]*AdvectDistRun, error) {
 			c.log("skip advect-dist at %d^3: %d ranks exceed the cell layers", size, r)
 			continue
 		}
-		run, err := c.AdvectDist(size, r)
+		run, err := c.AdvectDist(size, r, adaptive)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -194,14 +190,17 @@ func (c *Config) AdvectScaling(size int) ([]*AdvectDistRun, error) {
 }
 
 // writeAdvectDist appends the distributed-advection scaling section to
-// the report from the cached cells (quiet when the sweep did not run).
+// the report from the cached fixed-step cells (quiet when that sweep
+// did not run).
 // Participation, ping-pong, and idle follow the overhead breakdown of
 // Wang et al., "Maximum Livelihood: Understanding the Execution
 // Behaviors of Parallel Particle Advection" (arXiv 2410.09710).
 func (c *Config) writeAdvectDist(b *strings.Builder) {
 	runs := make([]*AdvectDistRun, 0, len(c.advectRuns))
 	for _, r := range c.advectRuns {
-		runs = append(runs, r)
+		if !r.Adaptive {
+			runs = append(runs, r)
+		}
 	}
 	if len(runs) == 0 {
 		return

@@ -17,7 +17,7 @@ func TestAdvectScaling(t *testing.T) {
 	var hb bytes.Buffer
 	c.Heartbeat = &hb
 
-	runs, err := c.AdvectScaling(8)
+	runs, err := c.AdvectScaling(8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestAdvectScaling(t *testing.T) {
 	}
 
 	// Cached: a repeat is the same object.
-	again, err := c.AdvectDist(8, 2)
+	again, err := c.AdvectDist(8, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,48 @@ func TestAdvectScaling(t *testing.T) {
 func TestAdvectScalingSkipsOversizedRanks(t *testing.T) {
 	c := tinyConfig()
 	c.Ranks = []int{2, 16}
-	runs, err := c.AdvectScaling(8)
+	runs, err := c.AdvectScaling(8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 1 || runs[0].Ranks != 2 {
 		t.Fatalf("got %d runs (first ranks=%d), want just ranks=2", len(runs), runs[0].Ranks)
+	}
+}
+
+// TestAdvectScalingAdaptive: the adaptive BS23 sweep is bit-identical to
+// its own single-rank oracle, caches apart from the fixed-step cells,
+// and stays out of the report's (fixed-step) scaling section.
+func TestAdvectScalingAdaptive(t *testing.T) {
+	c := tinyConfig()
+	c.Ranks = []int{1, 2}
+	runs, err := c.AdvectScaling(8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("got %d runs, want 2", len(runs))
+	}
+	for _, r := range runs {
+		if !r.Adaptive || !r.Identical {
+			t.Fatalf("ranks=%d: adaptive=%v identical=%v, want both", r.Ranks, r.Adaptive, r.Identical)
+		}
+	}
+	var b strings.Builder
+	c.writeAdvectDist(&b)
+	if b.Len() != 0 {
+		t.Errorf("adaptive cells reached the report:\n%s", b.String())
+	}
+	fixed, err := c.AdvectDist(8, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed == runs[1] || fixed.Adaptive {
+		t.Error("the fixed-step cell shares the adaptive cell's cache entry")
+	}
+	b.Reset()
+	c.writeAdvectDist(&b)
+	if !strings.Contains(b.String(), "| 8^3 | 2 |") || strings.Contains(b.String(), "| 8^3 | 1 |") {
+		t.Errorf("report should hold only the fixed-step 2-rank cell:\n%s", b.String())
 	}
 }

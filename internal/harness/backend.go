@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
@@ -133,14 +134,10 @@ func BackendTable(pairs []BackendPair) string {
 	return b.String()
 }
 
-// Classify returns the paper's Section VI-B class for a run: "power
-// sensitive" when a >=10% slowdown appears at 70 W or above, "power
-// opportunity" otherwise.
+// Classify returns the paper's Section VI-B class name for a run (see
+// core.Classify).
 func Classify(run *AlgoRun) string {
-	if metrics.FirstSlowdownCap(run.Base, run.ByCap) >= 70 {
-		return "power sensitive"
-	}
-	return "power opportunity"
+	return core.Classify(run.Base, run.ByCap).String()
 }
 
 // FirstSlowdownString formats the first >=10%-slowdown cap, "none" when

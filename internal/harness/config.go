@@ -107,7 +107,7 @@ type Config struct {
 	datasets     map[int]*mesh.UniformGrid
 	runs         map[string]*AlgoRun
 	advectRuns   map[string]*AdvectDistRun
-	advectOracle map[int]*advectOracleRun
+	advectOracle map[string]*advectOracleRun
 	governs      map[int]*GovernResult
 	failures     []CellError
 	cellsDone    int
@@ -176,7 +176,7 @@ func (c *Config) Defaults() *Config {
 		c.advectRuns = make(map[string]*AdvectDistRun)
 	}
 	if c.advectOracle == nil {
-		c.advectOracle = make(map[int]*advectOracleRun)
+		c.advectOracle = make(map[string]*advectOracleRun)
 	}
 	if c.governs == nil {
 		c.governs = make(map[int]*GovernResult)

@@ -71,22 +71,15 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 
 	b.WriteString("## Figures\n\n")
 	b.WriteString("| figure | content | files |\n|---|---|---|\n")
-	figRows := []struct{ id, desc string }{
-		{"fig1", "renderings of the eight algorithms"},
-		{"fig2a", "effective frequency vs. cap"},
-		{"fig2b", "IPC vs. cap"},
-		{"fig2c", "LLC miss rate vs. cap"},
-		{"fig3", "elements/s, cell-centered algorithms"},
-		{"fig4", "slice IPC by data-set size"},
-		{"fig5", "volume rendering IPC by data-set size"},
-		{"fig6", "particle advection IPC by data-set size"},
-	}
-	for _, fr := range figRows {
-		files := fr.id + ".csv, " + fr.id + ".svg"
-		if fr.id == "fig1" {
-			files = "fig1/*.png"
+	for _, a := range Artifacts {
+		if a.Desc == "" {
+			continue
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s |\n", fr.id, fr.desc, files)
+		files := a.ID + ".csv, " + a.ID + ".svg"
+		if a.Series == nil {
+			files = a.ID + "/*.png"
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s |\n", a.ID, a.Desc, files)
 	}
 	b.WriteString("\n## Per-algorithm summary (phase size)\n\n")
 	b.WriteString("| algorithm | demand (W) | IPC | LLC miss | first 10% slowdown | Tratio @ 40 W | energy @ 40 W |\n")

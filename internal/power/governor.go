@@ -401,8 +401,8 @@ func (g *Governor) program(w float64) error {
 	return nil
 }
 
-// maxTicks guards against a stuck phase (mirrors the legacy feedback
-// loop's guard).
+// maxTicks bounds the interval ticks of one phase, so a phase that
+// never finishes fails the run instead of hanging it.
 const maxTicks = 1_000_000
 
 // governPhase advances one labeled execution through the governed tick

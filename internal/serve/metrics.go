@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -76,6 +77,15 @@ func (s *Server) initMetrics() {
 		adm(func(a AdmissionStats) float64 { return float64(a.Queued) }))
 	reg.CounterFunc("vizpower_admission_rejected_total", "Admissions rejected on a full queue.",
 		adm(func(a AdmissionStats) float64 { return float64(a.Rejected) }))
+	for _, class := range []core.Class{core.PowerOpportunity, core.PowerSensitive} {
+		reg.GaugeFunc("vizpower_admission_class_demand_watts",
+			"Governor-measured demand seeding the admission estimate of a power class (0 = unseeded).",
+			func() float64 {
+				w, _ := s.classDemand.Load(class)
+				v, _ := w.(float64)
+				return v
+			}, obs.L("class", class.String()))
+	}
 
 	// Derived-structure cache.
 	cch := func(f func(CacheStats) float64) func() float64 {

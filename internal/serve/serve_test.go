@@ -308,31 +308,6 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint checks the counters surface.
-func TestStatsEndpoint(t *testing.T) {
-	s := testServer(t, Options{BudgetWatts: 120})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if resp, body := get(t, ts, "/render?alg=raytrace"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("render: status %d: %s", resp.StatusCode, body)
-	}
-	resp, body := get(t, ts, "/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: status %d", resp.StatusCode)
-	}
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests < 1 || st.Admission.Admitted < 1 || st.Cache.Misses < 1 {
-		t.Errorf("stats did not count the request: %+v", st)
-	}
-	if st.Admission.BudgetWatts != 120 {
-		t.Errorf("budget = %v, want 120", st.Admission.BudgetWatts)
-	}
-}
-
 // TestBadRequests exercises parameter validation.
 func TestBadRequests(t *testing.T) {
 	s := testServer(t, Options{})
@@ -379,15 +354,14 @@ func TestSeedClassDemandLadder(t *testing.T) {
 	if got := s.demandWatts("Volume Rendering", 32); got != 80 {
 		t.Errorf("unmeasured size fell off the class rung: %.1f W", got)
 	}
-	// The seeded calibration is visible on /stats.
+	// The seeded calibration is visible on /metrics.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	_, body := get(t, ts, "/stats")
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ClassDemand["power sensitive"] != 80 || st.ClassDemand["power opportunity"] != 58 {
-		t.Errorf("stats classDemand = %v, want the seeded 80/58 W", st.ClassDemand)
+	_, body := get(t, ts, "/metrics")
+	for class, want := range map[string]float64{"power sensitive": 80, "power opportunity": 58} {
+		series := `vizpower_admission_class_demand_watts{class="` + class + `"}`
+		if got := sampleValue(t, string(body), series); got != want {
+			t.Errorf("%s = %v, want the seeded %v W", series, got, want)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dist"
 	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/obs"
@@ -140,7 +139,6 @@ func New(opts Options) *Server {
 //	GET /render         — one orbit frame as PNG
 //	GET /cinema         — an orbit segment into a cinema database (JSON)
 //	GET /sweep          — one (algorithm, size) sweep cell under every cap (JSON)
-//	GET /stats          — admission, cache, and pool counters (JSON)
 //	GET /metrics        — the registry in Prometheus text format
 //	GET /debug/governor — the seeded governor flight-recorder dump (JSON)
 //	GET /healthz        — liveness
@@ -149,7 +147,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/render", s.handleRender)
 	mux.HandleFunc("/cinema", s.handleCinema)
 	mux.HandleFunc("/sweep", s.handleSweep)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/governor", s.handleDebugGovernor)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -644,69 +641,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, resp)
-}
-
-// statsResponse is the JSON body of /stats.
-type statsResponse struct {
-	UptimeSec float64        `json:"uptime_sec"`
-	Requests  int64          `json:"requests"`
-	Rejected  int64          `json:"rejected"`
-	Admission AdmissionStats `json:"admission"`
-	Cache     CacheStats     `json:"cache"`
-	Pool      poolStats      `json:"pool"`
-	// SpansDropped counts request spans lost to lane-track overflow —
-	// nonzero means the telemetry is undercounting, so surface it.
-	SpansDropped int64 `json:"spans_dropped"`
-	// Fabric is the process-lifetime rank-fabric traffic snapshot.
-	Fabric dist.FabricStats `json:"fabric"`
-	// ClassDemand is the seeded per-class admission estimate in watts
-	// (absent until SeedClassDemand installs a calibration).
-	ClassDemand map[string]float64 `json:"classDemand,omitempty"`
-}
-
-type poolStats struct {
-	Workers     int   `json:"workers"`
-	Launches    int64 `json:"launches"`
-	ActiveLoops int   `json:"active_loops"`
-	Tasks       int64 `json:"tasks"`
-	Stolen      int64 `json:"stolen"`
-	IdleNs      int64 `json:"idle_ns"`
-}
-
-// handleStats serves GET /stats.
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	ps := s.pool.Stats()
-	tot := ps.Totals()
-	demand := map[string]float64{}
-	s.classDemand.Range(func(k, v any) bool {
-		demand[k.(core.Class).String()] = v.(float64)
-		return true
-	})
-	if len(demand) == 0 {
-		demand = nil
-	}
-	var requests int64
-	for _, c := range s.met.requests {
-		requests += c.Value()
-	}
-	writeJSON(w, statsResponse{
-		UptimeSec:    time.Since(s.t0).Seconds(),
-		Requests:     requests,
-		Rejected:     s.met.rejected.Value(),
-		Admission:    s.adm.Stats(),
-		Cache:        s.cache.Stats(),
-		SpansDropped: s.tr.Dropped(),
-		Fabric:       dist.FabricTotals(),
-		ClassDemand:  demand,
-		Pool: poolStats{
-			Workers:     s.pool.Workers(),
-			Launches:    ps.Launches,
-			ActiveLoops: ps.ActiveLoops,
-			Tasks:       tot.Tasks,
-			Stolen:      tot.Stolen,
-			IdleNs:      tot.IdleNs,
-		},
-	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
