@@ -5,49 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/msr"
-	"repro/internal/ops"
-	"repro/internal/perfctr"
-	"repro/internal/rapl"
 )
 
-// computeExec is a compute-bound (power-sensitive) synthetic phase and
-// memoryExec a bandwidth-bound (power-opportunity) one — the same pair
-// the core classification tests calibrate against.
-func computeExec() cpu.Execution {
-	var p ops.Profile
-	p.Flops = 8e9
-	p.LoadBytes[ops.Resident] = 16e9
-	p.WorkingSetBytes = 16 << 20
-	p.Launches = 2
-	return cpu.Analyze(cpu.BroadwellEP(), p, 0)
-}
-
-func memoryExec() cpu.Execution {
-	var p ops.Profile
-	p.Flops = 4e8
-	p.LoadBytes[ops.Stream] = 24e9
-	p.WorkingSetBytes = 140 << 20
-	p.Launches = 2
-	return cpu.Analyze(cpu.BroadwellEP(), p, 0)
-}
-
-func newRAPL() *rapl.Package {
-	return rapl.NewPackage(msr.NewFile(), cpu.BroadwellEP())
-}
+// The closed-loop feedback scenarios: short hot/cold alternations and
+// single-phase runs at an integrating 10 ms tick, driven through the
+// Governor, the package's one capping controller.
 
 func TestFeedbackTracksTarget(t *testing.T) {
-	// Alternating hot and cold phases, several cycles: the controller
-	// must hold the job-average power near the target even though no
-	// static cap does.
-	hot := computeExec()
-	cold := memoryExec()
-	segs := []cpu.Execution{hot, cold, hot, cold, hot, cold}
+	// Three hot/cold cycles: the controller must hold the job-average
+	// power near the target even though no static cap does.
 	target := 65.0
-	res, err := RunFeedback(newRAPL(), segs, target, 0, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := govern(t, mixedSegments(3), target)
 	if math.Abs(res.AvgPowerWatts-target) > 0.08*target {
 		t.Errorf("achieved average %.2f W, want within 8%% of %.0f W", res.AvgPowerWatts, target)
 	}
@@ -57,18 +25,13 @@ func TestFeedbackTracksTarget(t *testing.T) {
 }
 
 func TestFeedbackBeatsStaticCapOnTime(t *testing.T) {
-	hot := computeExec()
-	cold := memoryExec()
-	segs := []cpu.Execution{hot, cold, hot, cold, hot, cold}
 	target := 65.0
-	res, err := RunFeedback(newRAPL(), segs, target, 0, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := mixedSegments(3)
+	res := govern(t, segs, target)
 	// The static policy: every segment capped at the target.
 	static := 0.0
-	for _, e := range segs {
-		static += e.UnderCap(target).TimeSec
+	for _, s := range segs {
+		static += s.Exec.UnderCap(target).TimeSec
 	}
 	if res.TimeSec > static+1e-9 {
 		t.Errorf("feedback time %.4fs worse than static cap %.4fs", res.TimeSec, static)
@@ -76,34 +39,33 @@ func TestFeedbackBeatsStaticCapOnTime(t *testing.T) {
 }
 
 func TestFeedbackGenerousTargetNeverThrottles(t *testing.T) {
-	segs := []cpu.Execution{memoryExec()}
-	res, err := RunFeedback(newRAPL(), segs, 120, 0, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := segs[0].UnderCap(120).TimeSec
+	segs := []Segment{{Label: "cold", Exec: memoryExec()}}
+	res := govern(t, segs, 120)
+	free := segs[0].Exec.UnderCap(120).TimeSec
 	if math.Abs(res.TimeSec-free) > 0.01*free {
 		t.Errorf("generous target time %.4fs, want unconstrained %.4fs", res.TimeSec, free)
 	}
-	// Conditional integration: the rail is the settling point, and the
-	// integral must not have wound past it.
 	if res.FinalCapWatts != 120 {
 		t.Errorf("cap settled at %.1f W, want pinned at TDP", res.FinalCapWatts)
 	}
 }
 
 func TestFeedbackRejectsTargetBelowFloor(t *testing.T) {
-	if _, err := RunFeedback(newRAPL(), []cpu.Execution{computeExec()}, 20, 0, 0.01); err == nil {
-		t.Error("target below floor accepted")
+	spec := cpu.BroadwellEP()
+	for _, target := range []float64{20, spec.MinCapWatts - 0.5} {
+		if _, err := New(newRAPL(), Options{TargetWatts: target}); err == nil {
+			t.Errorf("target %.1f W below the %.0f W floor accepted", target, spec.MinCapWatts)
+		}
+	}
+	// The floor itself is enforceable.
+	res := govern(t, []Segment{{Label: "hot", Exec: computeExec()}}, spec.MinCapWatts)
+	if res.AvgPowerWatts > spec.MinCapWatts*(1+0.02) {
+		t.Errorf("floor target averaged %.2f W", res.AvgPowerWatts)
 	}
 }
 
 func TestFeedbackEnergyAccounting(t *testing.T) {
-	segs := []cpu.Execution{computeExec()}
-	res, err := RunFeedback(newRAPL(), segs, 80, 0, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := govern(t, []Segment{{Label: "hot", Exec: computeExec()}}, 80)
 	var sampled float64
 	for _, s := range res.Samples {
 		sampled += s.EnergyJ
@@ -111,50 +73,5 @@ func TestFeedbackEnergyAccounting(t *testing.T) {
 	want := res.AvgPowerWatts * res.TimeSec
 	if math.Abs(sampled-want) > 0.02*want+0.01 {
 		t.Errorf("sampled energy %.2f J vs accounted %.2f J", sampled, want)
-	}
-}
-
-func TestFeedbackSampleTimelineBounded(t *testing.T) {
-	// A long run must not grow the retained timeline without bound: the
-	// ring keeps the newest DefaultMaxSamples and counts the evictions.
-	hot := computeExec()
-	cold := memoryExec()
-	var segs []cpu.Execution
-	for i := 0; i < 4; i++ {
-		segs = append(segs, hot, cold)
-	}
-	res, err := RunFeedback(newRAPL(), segs, 65, 0, 0.0005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) > DefaultMaxSamples {
-		t.Fatalf("retained %d samples, cap is %d", len(res.Samples), DefaultMaxSamples)
-	}
-	if res.SamplesDropped <= 0 {
-		t.Skipf("run too short to overflow the ring (%d samples)", len(res.Samples))
-	}
-	if len(res.Samples) != DefaultMaxSamples {
-		t.Errorf("dropped %d yet retained %d < %d", res.SamplesDropped, len(res.Samples), DefaultMaxSamples)
-	}
-	for i := 1; i < len(res.Samples); i++ {
-		if res.Samples[i].TimeSec <= res.Samples[i-1].TimeSec {
-			t.Fatalf("retained timeline out of order at %d", i)
-		}
-	}
-}
-
-func TestSampleRing(t *testing.T) {
-	r := newSampleRing(4)
-	for i := 0; i < 10; i++ {
-		r.push(perfctr.Sample{TimeSec: float64(i)})
-	}
-	got := r.samples()
-	if len(got) != 4 || r.dropped() != 6 {
-		t.Fatalf("len %d dropped %d, want 4 and 6", len(got), r.dropped())
-	}
-	for i, s := range got {
-		if s.TimeSec != float64(6+i) {
-			t.Errorf("slot %d holds t=%.0f, want %.0f", i, s.TimeSec, float64(6+i))
-		}
 	}
 }

@@ -308,6 +308,41 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint checks the counters surface: after one render the
+// admission and cache snapshots count it, and /metrics reports the
+// same values.
+func TestStatsEndpoint(t *testing.T) {
+	s := testServer(t, Options{BudgetWatts: 120})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, body := get(t, ts, "/render?alg=raytrace"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("render: status %d: %s", resp.StatusCode, body)
+	}
+	adm, cache := s.Admission().Stats(), s.Cache().Stats()
+	if adm.Admitted < 1 || cache.Misses < 1 {
+		t.Errorf("stats did not count the request: admission %+v, cache %+v", adm, cache)
+	}
+	if adm.BudgetWatts != 120 {
+		t.Errorf("budget = %v, want 120", adm.BudgetWatts)
+	}
+	resp, body := get(t, ts, "/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	text := string(body)
+	for series, want := range map[string]float64{
+		`vizpower_serve_requests_total{handler="render"}`: 1,
+		"vizpower_admission_admitted_total":               float64(adm.Admitted),
+		"vizpower_admission_budget_watts":                 120,
+		"vizpower_cache_misses_total":                     float64(cache.Misses),
+	} {
+		if got := sampleValue(t, text, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+}
+
 // TestBadRequests exercises parameter validation.
 func TestBadRequests(t *testing.T) {
 	s := testServer(t, Options{})
