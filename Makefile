@@ -8,19 +8,26 @@
 #                  proxy, rank fabric, and two kernels (the packages with
 #                  real cross-goroutine traffic), plus the harness
 #                  failure-injection paths
-#   make bench   - the dispatch + kernel benchmarks recorded in BENCH_PR1.json
+#   make bench   - the dispatch + kernel benchmarks recorded in BENCH_PR1.json,
+#                  plus the BVH-vs-brute-force ablation
+#                  (internal/viz/raytrace)
 #   make bench-render - the render hot-path benchmarks recorded in
-#                  BENCH_PR3.json (volren marcher, traced frame, BVH
-#                  build, cinema encode queue), with -benchmem
+#                  BENCH_PR3.json (volren marcher vs its test-only
+#                  reference sampler in internal/viz/volren, BVH build vs
+#                  the test-only sort-median build in
+#                  internal/viz/raytrace, traced frame, cinema encode
+#                  queue), with -benchmem
 #   make bench-advect - the advection hot-path benchmarks recorded in
 #                  BENCH_PR4.json (fused-sampler SoA integrator vs the
-#                  reference, fixed + adaptive, 32^3/64^3/128^3), plus
-#                  the hydro hot path: the clover sweeps per axis at
+#                  test-only reference, fixed + adaptive,
+#                  32^3/64^3/128^3, in internal/viz/advect), plus the
+#                  hydro hot path: the clover sweeps per axis at
 #                  64^3/128^3 and ResampleCube 64->128, with -benchmem
 #   make bench-advect-dist - the distributed parallelize-over-data
 #                  advection benchmarks recorded in BENCH_PR6.json
-#                  (reference/fast single-rank oracles vs dist.Advect at
-#                  1/2/4/8 ranks on a migration-heavy field), -benchmem
+#                  (reference/fast single-rank integrators vs dist.Advect
+#                  at 1/2/4/8 ranks on a migration-heavy field, in
+#                  internal/viz/advect), -benchmem
 #   make bench-serve - the daemon benchmarks recorded in BENCH_PR7.json
 #                  (cold vs warm frame latency through the derived-
 #                  structure cache; admitted request throughput with the
@@ -38,6 +45,8 @@
 #                  cost, full-registry scrape, attribution join, and
 #                  the instrumented-vs-bare par.For dispatch check),
 #                  -benchmem
+#   make fuzz    - run each native fuzz target (the VTK readers) for 10s;
+#                  plain go test runs their seed corpora as ordinary tests
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)
 #   make profile - run the vizpower profile subcommand at demonstration
@@ -55,7 +64,7 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/sim/clover ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
-.PHONY: check vet build test race loc bench bench-render bench-advect bench-advect-dist bench-serve bench-dpp bench-govern bench-obs govern profile serve
+.PHONY: check vet build test race loc fuzz bench bench-render bench-advect bench-advect-dist bench-serve bench-dpp bench-govern bench-obs govern profile serve
 
 check: vet build test race
 
@@ -78,27 +87,37 @@ race:
 	$(GO) test -race -count=1 -timeout 120s ./internal/viz/advect -run 'Compact|Golden|Seed'
 	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Partial|Advect'
 
+fuzz:
+	$(GO) test -timeout 120s ./internal/vtkio -run xxx -fuzz '^FuzzReadTriMesh$$' -fuzztime 10s
+	$(GO) test -timeout 120s ./internal/vtkio -run xxx -fuzz '^FuzzReadUnstructured$$' -fuzztime 10s
+
 bench:
 	$(GO) test -timeout 120s ./internal/par -run xxx -bench 'ParFor|ReduceSum' -benchtime=2s
 	$(GO) test -timeout 120s . -run xxx -bench 'BenchmarkKernel(Contour|SphericalClip|Isovolume|Threshold|Slice)' -benchtime 5x
 	$(GO) test -timeout 120s . -run xxx -bench BenchmarkAblationWeld -benchtime 10x
+	$(GO) test -timeout 120s ./internal/viz/raytrace -run xxx -bench BenchmarkAblationBVH -benchtime 10x
 
 bench-render:
+	$(GO) test -timeout 600s ./internal/viz/volren -run xxx -benchmem \
+		-bench 'BenchmarkVolrenFrame' -benchtime 5x
+	$(GO) test -timeout 600s ./internal/viz/raytrace -run xxx -benchmem \
+		-bench 'BenchmarkBVHBuildPaths' -benchtime 5x
 	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkVolrenFrame|BenchmarkRayTraceFrame|BenchmarkBVHBuildPaths|BenchmarkCinemaOrbitSink' \
+		-bench 'BenchmarkRayTraceFrame|BenchmarkCinemaOrbitSink' \
 		-benchtime 5x
 
 bench-advect:
+	$(GO) test -timeout 600s ./internal/viz/advect -run xxx -benchmem \
+		-bench 'BenchmarkAdvectPaths' -benchtime 3x
 	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkAdvectPaths|BenchmarkCloverSweep' \
-		-benchtime 3x
+		-bench 'BenchmarkCloverSweep' -benchtime 3x
 	$(GO) test -timeout 600s ./internal/sim/clover -run xxx -benchmem \
 		-bench 'BenchmarkSweepAxis' -benchtime 5x
 	$(GO) test -timeout 600s ./internal/mesh -run xxx -benchmem \
 		-bench 'BenchmarkResampleCube' -benchtime 3x
 
 bench-advect-dist:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
+	$(GO) test -timeout 600s ./internal/viz/advect -run xxx -benchmem \
 		-bench 'BenchmarkAdvectDist' \
 		-benchtime 3x
 

@@ -1,14 +1,14 @@
 // Ablation benchmarks for the design choices the implementation makes:
-// dynamic-chunk grain size in the parallel runtime, BVH acceleration
-// versus brute-force intersection, point welding of clipped outputs,
-// worker-count scaling of a representative kernel, governor ladder
-// granularity, and the virtual-time sampling interval. Each quantifies
-// what the chosen default buys.
+// dynamic-chunk grain size in the parallel runtime, point welding of
+// clipped outputs, worker-count scaling of a representative kernel,
+// governor ladder granularity, and the virtual-time sampling interval.
+// Each quantifies what the chosen default buys. BVH acceleration versus
+// brute-force intersection (BenchmarkAblationBVH) lives in
+// internal/viz/raytrace, next to its test-only brute-force oracle.
 package repro_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cpu"
@@ -23,7 +23,6 @@ import (
 	"repro/internal/viz"
 	"repro/internal/viz/clip"
 	"repro/internal/viz/contour"
-	"repro/internal/viz/raytrace"
 )
 
 // BenchmarkAblationGrain sweeps the parallel-for chunk size over the
@@ -73,39 +72,6 @@ func BenchmarkAblationGrain(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationBVH compares accelerated and brute-force nearest-hit
-// queries on the grid surface — the reason the ray tracer builds its
-// spatial structure every cycle.
-func BenchmarkAblationBVH(b *testing.B) {
-	g := benchGrid(b, benchSize())
-	tris, err := mesh.GridExternalFaces(g, "energy")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bvh := raytrace.BuildBVH(tris)
-	rng := rand.New(rand.NewSource(1))
-	rays := make([][2]mesh.Vec3, 256)
-	for i := range rays {
-		orig := mesh.Vec3{rng.Float64()*3 - 1, rng.Float64()*3 - 1, rng.Float64()*3 - 1}
-		dir := mesh.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Normalize()
-		rays[i] = [2]mesh.Vec3{orig, dir}
-	}
-	b.Run("bvh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range rays {
-				bvh.Intersect(tris, r[0], r[1], nil)
-			}
-		}
-	})
-	b.Run("brute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range rays {
-				raytrace.BruteForceIntersect(tris, r[0], r[1])
-			}
-		}
-	})
 }
 
 // BenchmarkAblationWeld measures the cost of the point-welding pass that

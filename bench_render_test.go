@@ -1,8 +1,8 @@
-// Benchmarks for the PR 3 render hot path: the macrocell ray marcher
-// against the retained reference sampler, the binned-SAH BVH build
-// against the sort-median reference build, the traced frame, and the
+// Benchmarks for the render hot path: the traced frame and the
 // pipelined cinema sink against the synchronous one. Results are recorded
-// in BENCH_PR3.json.
+// in BENCH_PR3.json. The rows that race a test-only oracle live next to
+// it: BenchmarkVolrenFrame in internal/viz/volren and
+// BenchmarkBVHBuildPaths in internal/viz/raytrace.
 package repro_test
 
 import (
@@ -42,55 +42,6 @@ func blobBenchGrid(b *testing.B, n int) *mesh.UniformGrid {
 	return g
 }
 
-func volrenTF(g *mesh.UniformGrid, transparent float64) render.TransferFunction {
-	lo, hi := mesh.FieldRange(g.PointField("energy"))
-	return render.TransferFunction{
-		Norm:         render.Normalizer{Lo: lo, Hi: hi},
-		OpacityScale: 0.25,
-		Transparent:  transparent,
-	}
-}
-
-// BenchmarkVolrenFrame renders one 128x128 orbit frame with the macrocell
-// marcher (amortized acceleration state) and with the reference
-// world-space sampler, at 32^3 and 64^3, with and without a transparency
-// threshold. cells/s counts grid cells per rendered frame.
-func BenchmarkVolrenFrame(b *testing.B) {
-	for _, n := range []int{32, 64} {
-		for _, cfg := range []struct {
-			name        string
-			transparent float64
-			reference   bool
-		}{
-			{"ref", 0, true},
-			{"fast", 0, false},
-			{"fast-skip", 0.35, false},
-		} {
-			b.Run(fmt.Sprintf("%s-%d", cfg.name, n), func(b *testing.B) {
-				g := blobBenchGrid(b, n)
-				field := g.PointField("energy")
-				tf := volrenTF(g, cfg.transparent)
-				cam := render.OrbitCamera(g.Bounds(), 0.7, 0.35, 2.0)
-				ex := viz.NewExec(par.Default())
-				var r *volren.Renderer
-				if !cfg.reference {
-					r = volren.NewRenderer(g, field, tf, ex)
-				}
-				var im *render.Image
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if cfg.reference {
-						im = volren.RenderImageReferenceInto(im, g, field, tf, cam, 128, 128, ex)
-					} else {
-						im = r.RenderImageInto(im, cam, 128, 128, ex)
-					}
-				}
-				b.ReportMetric(float64(g.NumCells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-			})
-		}
-	}
-}
-
 // BenchmarkRayTraceFrame traces one 128x128 orbit frame of the external
 // surface at 32^3 and 64^3.
 func BenchmarkRayTraceFrame(b *testing.B) {
@@ -109,38 +60,6 @@ func BenchmarkRayTraceFrame(b *testing.B) {
 				im = scene.RenderInto(im, cam, 128, 128, ex)
 			}
 			b.ReportMetric(float64(g.NumCells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-		})
-	}
-}
-
-// BenchmarkBVHBuildPaths compares the parallel binned-SAH construction
-// against the retained sort-median reference build over the external
-// faces at 32^3 and 64^3.
-func BenchmarkBVHBuildPaths(b *testing.B) {
-	for _, n := range []int{32, 64} {
-		g := benchGrid(b, n)
-		tris, err := mesh.GridExternalFaces(g, "energy")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("ref-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if raytrace.BuildBVHReference(tris) == nil {
-					b.Fatal("nil BVH")
-				}
-			}
-			b.ReportMetric(float64(tris.NumTris()), "tris")
-		})
-		b.Run(fmt.Sprintf("sah-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			pool := par.Default()
-			for i := 0; i < b.N; i++ {
-				if raytrace.BuildBVHWith(tris, pool) == nil {
-					b.Fatal("nil BVH")
-				}
-			}
-			b.ReportMetric(float64(tris.NumTris()), "tris")
 		})
 	}
 }

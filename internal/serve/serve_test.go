@@ -151,7 +151,7 @@ func TestRenderWarmBitIdentical(t *testing.T) {
 	az := 2 * 3.14159265358979323846 * 3 / 8
 	cam := render.OrbitCamera(g.Bounds(), az, 0.35, 2.0)
 	ex := viz.NewExec(cfg.Pool)
-	im := volren.RenderImageInto(nil, g, field, tf, cam, cfg.ImageSize, cfg.ImageSize, ex)
+	im := volren.RenderImage(g, field, tf, cam, cfg.ImageSize, cfg.ImageSize, ex)
 	var buf bytes.Buffer
 	if err := im.WritePNG(&buf); err != nil {
 		t.Fatal(err)
@@ -340,6 +340,15 @@ func TestStatsEndpoint(t *testing.T) {
 		if got := sampleValue(t, text, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
 		}
+	}
+	// The paper's mixed-case spelling names the same algorithm, so it
+	// hits the scene the lowercase request built.
+	resp, body = get(t, ts, "/render?alg=Ray%20Tracing")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mixed-case alg: status %d: %s", resp.StatusCode, body)
+	}
+	if v := resp.Header.Get("X-Serve-Cache"); v != "hit" {
+		t.Errorf("mixed-case alg X-Serve-Cache = %q, want hit", v)
 	}
 }
 

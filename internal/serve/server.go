@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -221,19 +222,19 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 	cfg := s.opts.Config
 	rr := &renderRequest{
 		alg:    "volren",
+		name:   "Volume Rendering",
 		size:   cfg.PhaseSize,
 		images: cfg.Images,
 		w:      cfg.ImageSize,
 		h:      cfg.ImageSize,
 	}
 	if v := q.Get("alg"); v != "" {
-		names, ok := algNames[normalize(v)]
+		names, ok := algNames[strings.ToLower(v)]
 		if !ok {
 			return nil, fmt.Errorf("alg must be volren or raytrace, got %q", v)
 		}
-		rr.alg = names[0]
+		rr.alg, rr.name = names[0], names[1]
 	}
-	rr.name = map[string]string{"volren": "Volume Rendering", "raytrace": "Ray Tracing"}[rr.alg]
 	var err error
 	if rr.size, err = intParam(q.Get("size"), rr.size, 8, s.opts.MaxSize); err != nil {
 		return nil, fmt.Errorf("size: %w", err)
@@ -258,16 +259,6 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 		rr.transparent = t
 	}
 	return rr, nil
-}
-
-func normalize(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
 }
 
 func intParam(v string, def, lo, hi int) (int, error) {
@@ -573,7 +564,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "Contour"
 	}
-	if n, ok := algNames[normalize(name)]; ok {
+	if n, ok := algNames[strings.ToLower(name)]; ok {
 		name = n[1]
 	}
 	s.cfgMu.Lock()

@@ -18,8 +18,8 @@
 // speeds accumulate in per-worker arenas (segments stitched into the
 // output LineSet at the end) instead of per-particle append slices, and
 // the whole working state is leased from the pool scratch store across
-// runs. RunReference (reference.go) retains the original per-name
-// integrator; golden tests hold the two bit-identical.
+// runs. The original per-name integrator it replaced lives in the
+// package tests (RunReference); golden tests hold the two bit-identical.
 package advect
 
 import (
@@ -46,7 +46,7 @@ type Options struct {
 	StepLength float64
 	// Adaptive switches from the paper's fixed-step RK4 to the embedded
 	// Bogacki–Shampine 3(2) pair with error control (an extension; see
-	// adaptive.go). StepLength becomes the initial step and NumSteps
+	// kernel.go). StepLength becomes the initial step and NumSteps
 	// bounds both the accepted-step count and the total arc length
 	// (NumSteps × StepLength).
 	Adaptive bool
@@ -85,9 +85,11 @@ func missingVectorErr(name string) error {
 	return fmt.Errorf("advect: grid has no point vector field %q", name)
 }
 
-// seeds places n particles on a jittered lattice through the bounds,
-// deterministically (a fixed linear congruential generator).
-func seeds(b mesh.Bounds, n int) []mesh.Vec3 {
+// SeedPoints places n particles on a jittered lattice through b,
+// deterministically (a fixed linear congruential generator). It is the
+// filter's one seed stream, so the distributed path advects exactly the
+// particles Run would.
+func SeedPoints(b mesh.Bounds, n int) []mesh.Vec3 {
 	side := 1
 	for side*side*side < n {
 		side++
@@ -230,7 +232,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	if g.PointVector(f.opts.Vector) == nil {
 		return nil, missingVectorErr(f.opts.Vector)
 	}
-	starts := seeds(g.Bounds(), f.opts.NumParticles)
+	starts := SeedPoints(g.Bounds(), f.opts.NumParticles)
 	return f.run(g, ex, starts), nil
 }
 
@@ -434,11 +436,11 @@ func (f *Filter) roundsAdaptive(g *mesh.UniformGrid, ex *viz.Exec, proto *mesh.V
 							stepsTaken++
 							acc++
 							// Grow the step for the next round.
-							hh = controller(hh, errEst, tol, hMin, hMax)
+							hh = StepController(hh, errEst, tol, hMin, hMax)
 							break
 						}
 						rejects++
-						hh = controller(hh, errEst, tol, hMin, hMax)
+						hh = StepController(hh, errEst, tol, hMin, hMax)
 					}
 				}
 				if retired {

@@ -182,8 +182,8 @@ func TestAdvectProfileComputeBound(t *testing.T) {
 
 func TestSeedsDeterministicAndInBounds(t *testing.T) {
 	b := mesh.Bounds{Lo: mesh.Vec3{0, 0, 0}, Hi: mesh.Vec3{1, 1, 1}}
-	s1 := seeds(b, 100)
-	s2 := seeds(b, 100)
+	s1 := SeedPoints(b, 100)
+	s2 := SeedPoints(b, 100)
 	if len(s1) != 100 {
 		t.Fatalf("seeds = %d, want 100", len(s1))
 	}

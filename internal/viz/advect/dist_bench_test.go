@@ -1,8 +1,10 @@
-// Benchmarks for the PR 6 distributed advection path: dist.Advect
+// Benchmarks for the distributed advection path: dist.Advect
 // (parallelize-over-data on the rank fabric) against the single-rank
 // reference and fast integrators on a migration-heavy field. Results
-// are recorded in BENCH_PR6.json.
-package repro_test
+// are recorded in BENCH_PR6.json. This is an external test package
+// because internal/dist imports advect; it reaches the test-only
+// RunReference through the package's test files.
+package advect_test
 
 import (
 	"fmt"
@@ -19,8 +21,8 @@ import (
 
 // helixBenchGrid builds a rotating field with an oscillating z
 // component, so particles cross slab boundaries in both directions and
-// the distributed path pays real migration traffic (the swirl field of
-// bench_advect_test.go barely moves in z). Cached across benchmarks.
+// the distributed path pays real migration traffic (the shear field of
+// BenchmarkAdvectPaths barely moves in z). Cached across benchmarks.
 var helixBenchGrids = map[int]*mesh.UniformGrid{}
 
 func helixBenchGrid(b *testing.B, n int) *mesh.UniformGrid {

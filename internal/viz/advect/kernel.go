@@ -1,6 +1,8 @@
 package advect
 
 import (
+	"math"
+
 	"repro/internal/mesh"
 	"repro/internal/viz"
 )
@@ -10,9 +12,17 @@ import (
 // embedded Bogacki–Shampine 3(2) trial step, generic over the sampler
 // type so each instantiation dispatches statically (no interface call
 // in the stage loop) while keeping one definition of the arithmetic.
-// The golden tests hold Run bit-identical to RunReference, which pins
-// these kernels to the reference's exact operation order; dist.Advect's
-// bit-identity to Run then follows from sharing them.
+// The golden tests hold Run bit-identical to the by-name integrator kept
+// in the package tests (RunReference), which pins these kernels to the
+// reference's exact operation order; dist.Advect's bit-identity to Run
+// then follows from sharing them.
+//
+// Adaptive integration uses the embedded Bogacki–Shampine 3(2) pair: a
+// third-order step with a second-order error estimate, growing the step
+// through smooth flow and shrinking it where the field bends. The paper's
+// study uses fixed-step RK4 (and so does this package by default); the
+// adaptive mode is an extension for users who care about trajectory
+// accuracy per sample rather than a fixed cost per particle.
 
 // Field is the sampling interface the kernels integrate over. Both
 // mesh.VectorSampler and mesh.BlockVectorSampler satisfy it; ok=false
@@ -65,7 +75,24 @@ func BS23Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, errEst 
 // StepController reshapes the adaptive step after a trial: the standard
 // I-controller for a third-order method, clamped to [hMin, hMax].
 func StepController(h, errEst, tol, hMin, hMax float64) float64 {
-	return controller(h, errEst, tol, hMin, hMax)
+	if errEst <= 0 {
+		return math.Min(h*5, hMax)
+	}
+	factor := 0.9 * math.Cbrt(tol/errEst)
+	if factor < 0.2 {
+		factor = 0.2
+	}
+	if factor > 5 {
+		factor = 5
+	}
+	h *= factor
+	if h < hMin {
+		h = hMin
+	}
+	if h > hMax {
+		h = hMax
+	}
+	return h
 }
 
 // AdaptiveStepBounds returns the [hMin, hMax] clamp range every
@@ -74,19 +101,12 @@ func AdaptiveStepBounds(h0 float64) (hMin, hMax float64) {
 	return h0 / 64, h0 * 16
 }
 
-// SeedPoints returns the filter's deterministic jittered-lattice seed
-// positions for n particles through b — the shared seed stream, so the
-// distributed path advects exactly the particles Run would.
-func SeedPoints(b mesh.Bounds, n int) []mesh.Vec3 {
-	return seeds(b, n)
-}
-
 // RejectSeeds marks the seeds outside g's sampling domain, writing
 // into dead (grown as needed) and returning it. This is the one
-// out-of-domain predicate shared by Run, RunReference, and
-// dist.Advect: mesh.(*UniformGrid).InDomain, the exact bounds test of
-// every sampling path, so a seed on the domain boundary is kept or
-// rejected identically everywhere.
+// out-of-domain predicate shared by Run, dist.Advect, and the test
+// oracle RunReference: mesh.(*UniformGrid).InDomain, the exact bounds
+// test of every sampling path, so a seed on the domain boundary is kept
+// or rejected identically everywhere.
 func RejectSeeds(g *mesh.UniformGrid, starts []mesh.Vec3, dead []bool) []bool {
 	if cap(dead) < len(starts) {
 		dead = make([]bool, len(starts))
@@ -108,13 +128,4 @@ func (f *Filter) RunSeeds(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3)
 		return nil, missingVectorErr(f.opts.Vector)
 	}
 	return f.run(g, ex, starts), nil
-}
-
-// RunReferenceSeeds executes the reference integrator over an explicit
-// seed list.
-func (f *Filter) RunReferenceSeeds(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) (*viz.Result, error) {
-	if g.PointVector(f.opts.Vector) == nil {
-		return nil, missingVectorErr(f.opts.Vector)
-	}
-	return f.runReference(g, ex, starts), nil
 }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/viz"
 )
 
-// RunReference is the straightforward integrator retained as the
+// RunReference is the straightforward integrator kept as the
 // correctness oracle for the compacted sampler-based hot path and as the
 // baseline of the advection benchmarks (the same pattern as volren's
 // RenderSegmentsReference and raytrace's BuildBVHReference): every RK4
@@ -26,7 +26,7 @@ func (f *Filter) RunReference(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, e
 	if g.PointVector(f.opts.Vector) == nil {
 		return nil, missingVectorErr(f.opts.Vector)
 	}
-	starts := seeds(g.Bounds(), f.opts.NumParticles)
+	starts := SeedPoints(g.Bounds(), f.opts.NumParticles)
 	return f.runReference(g, ex, starts), nil
 }
 
@@ -150,4 +150,73 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 		Elements: int64(g.NumCells()),
 		Lines:    out,
 	}
+}
+
+// bs23 is the by-name trial step the reference integrator takes: the
+// fast paths take the same step through the generic BS23Step kernel
+// instantiated with the fused-gather samplers, and bit-identity to bs23
+// follows from the samplers' contract. It advances p by one adaptive step
+// of size at most h, returning the new position, the velocity at p, the
+// error estimate, and whether every field sample stayed inside the domain.
+func bs23(g *mesh.UniformGrid, field string, p mesh.Vec3, h float64) (next mesh.Vec3, v0 mesh.Vec3, errEst float64, ok bool) {
+	k1, ok1 := g.SampleVector(field, p)
+	k2, ok2 := g.SampleVector(field, p.Add(k1.Scale(h/2)))
+	k3, ok3 := g.SampleVector(field, p.Add(k2.Scale(3*h/4)))
+	if !(ok1 && ok2 && ok3) {
+		return p, k1, 0, false
+	}
+	// Third-order solution.
+	next = p.Add(k1.Scale(2 * h / 9)).Add(k2.Scale(h / 3)).Add(k3.Scale(4 * h / 9))
+	k4, ok4 := g.SampleVector(field, next)
+	if !ok4 {
+		return p, k1, 0, false
+	}
+	// Embedded second-order solution.
+	low := p.Add(k1.Scale(7 * h / 24)).Add(k2.Scale(h / 4)).Add(k3.Scale(h / 3)).Add(k4.Scale(h / 8))
+	errEst = next.Sub(low).Norm()
+	return next, k1, errEst, true
+}
+
+// integrateAdaptive traces one streamline with error control: steps are
+// accepted when the embedded error estimate is at or below tol, and the
+// step size adapts by the standard third-order controller. The particle
+// terminates on leaving the bounds, on exceeding maxLen of arc length, or
+// after maxSteps accepted steps.
+func integrateAdaptive(g *mesh.UniformGrid, field string, start mesh.Vec3,
+	tol, h0, maxLen float64, maxSteps int) (pts []mesh.Vec3, spd []float64, samples, rejects uint64) {
+	b := g.Bounds()
+	hMin, hMax := AdaptiveStepBounds(h0)
+	h := h0
+	p := start
+	v, ok := g.SampleVector(field, p)
+	if !ok {
+		return nil, nil, 0, 0
+	}
+	pts = append(pts, p)
+	spd = append(spd, v.Norm())
+	arc := 0.0
+	for step := 0; step < maxSteps && arc < maxLen; step++ {
+		for {
+			next, v0, errEst, ok := bs23(g, field, p, h)
+			samples += 4
+			if !ok {
+				return pts, spd, samples, rejects // left the domain
+			}
+			if errEst <= tol || h <= hMin {
+				arc += next.Sub(p).Norm()
+				p = next
+				if !b.Contains(p) {
+					return pts, spd, samples, rejects
+				}
+				pts = append(pts, p)
+				spd = append(spd, v0.Norm())
+				// Grow the step for the next round.
+				h = StepController(h, errEst, tol, hMin, hMax)
+				break
+			}
+			rejects++
+			h = StepController(h, errEst, tol, hMin, hMax)
+		}
+	}
+	return pts, spd, samples, rejects
 }

@@ -9,9 +9,9 @@ import (
 
 // BuildBVHReference is the original construction: recursive median splits
 // on the longest centroid-bounds axis, ordering each segment with
-// sort.Slice. Retained as the correctness oracle for the binned-SAH build
+// sort.Slice. Kept as the correctness oracle for the binned-SAH build
 // (the golden test demands bit-identical hit records from both trees) and
-// as the baseline of BenchmarkBVHBuild.
+// as the baseline of BenchmarkBVHBuildPaths.
 func BuildBVHReference(m *mesh.TriMesh) *BVH {
 	n := m.NumTris()
 	if n == 0 {
@@ -116,6 +116,20 @@ func (b *BVH) IntersectReference(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *Tr
 	if stats != nil {
 		stats.NodesVisited += nodes
 		stats.TriTests += tris
+	}
+	return best, best.Tri >= 0
+}
+
+// BruteForceIntersect finds the nearest hit by testing every triangle,
+// with no acceleration structure: the correctness oracle for the BVH and
+// the baseline of BenchmarkAblationBVH.
+func BruteForceIntersect(m *mesh.TriMesh, orig, dir mesh.Vec3) (Hit, bool) {
+	best := Hit{T: math.Inf(1), Tri: -1}
+	for ti, tr := range m.Tris {
+		t, u, v, ok := triIntersect(orig, dir, m.Points[tr[0]], m.Points[tr[1]], m.Points[tr[2]])
+		if ok && closer(t, int32(ti), best) {
+			best = Hit{T: t, Tri: int32(ti), U: u, V: v}
+		}
 	}
 	return best, best.Tri >= 0
 }

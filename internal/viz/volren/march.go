@@ -15,9 +15,10 @@ import (
 // orbit loop builds one Renderer and renders 50 frames through it; the
 // per-frame work is then pure marching.
 //
-// Against the straightforward sampler (RenderSegmentsReference) the
-// marcher makes three changes, none of which alter the sampled image
-// beyond floating-point rounding:
+// Against the straightforward sampler it replaced (kept in the package
+// tests as RenderSegmentsReference, the golden oracle) the marcher makes
+// three changes, none of which alter the sampled image beyond
+// floating-point rounding:
 //
 //   - rays march in index space: the per-sample world-space locate (three
 //     divisions, a bounds check, and the eight-corner index build) becomes

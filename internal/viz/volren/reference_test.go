@@ -9,10 +9,10 @@ import (
 	"repro/internal/viz"
 )
 
-// RenderSegmentsReference is the straightforward sampler retained as the
-// correctness oracle for the macrocell marcher and as the baseline of the
-// render benchmarks: one world-space mesh.SampleScalarField lookup per
-// sample (per-sample cell locate with its three divisions) and the
+// RenderSegmentsReference is the straightforward sampler kept as the
+// correctness oracle for the macrocell marcher and as the baseline of
+// BenchmarkVolrenFrame: one world-space mesh.SampleScalarField lookup
+// per sample (per-sample cell locate with its three divisions) and the
 // branchy transfer-function evaluation, exactly as the workload was first
 // written. The golden tests hold Renderer within 1e-6 per channel of
 // this path.
@@ -33,7 +33,7 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
 			orig, dir := cam.Ray(px, py, w, h)
-			t0, t1, ok := rayBox(orig, dir, b)
+			t0, t1, ok := mesh.RayBox(orig, dir, b)
 			if !ok {
 				continue
 			}
@@ -69,14 +69,5 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		rec.Loads(samples*64, ops.Resident)
 		rec.Stores(n*4, ops.Stream)
 	})
-	return im
-}
-
-// RenderImageReferenceInto is the reference sampler flattened over the
-// background, with a reusable framebuffer.
-func RenderImageReferenceInto(im *render.Image, g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
-	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
-	im = RenderSegmentsReference(im, g, field, tf, cam, w, h, ex)
-	BlendBackground(im)
 	return im
 }

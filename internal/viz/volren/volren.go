@@ -8,11 +8,11 @@
 // cache-hot volume makes this the highest-IPC, highest-power algorithm of
 // the eight — the archetypal power-sensitive workload.
 //
-// Two samplers live here. The hot path (Renderer, march.go) marches rays
-// incrementally in index space with macrocell empty-space skipping and a
-// tabulated transfer function; the straightforward world-space sampler
-// (reference.go) is retained as the correctness oracle — golden tests
-// hold the fast path within 1e-6 per channel of it.
+// The sampler (Renderer, march.go) marches rays incrementally in index
+// space with macrocell empty-space skipping and a tabulated transfer
+// function. The straightforward world-space sampler it replaced lives in
+// the package tests as the correctness oracle: golden tests hold the
+// marcher within 1e-6 per channel of it.
 package volren
 
 import (
@@ -41,9 +41,6 @@ type Options struct {
 	// every sample visible; a positive threshold creates the empty space
 	// the macrocell marcher skips.
 	Transparent float64
-	// Reference forces the retained straightforward sampler instead of
-	// the macrocell marcher (for A/B runs and the ablation benchmarks).
-	Reference bool
 	// Sink, when non-nil, receives every rendered image together with
 	// its orbit azimuth — the hook the image-database (Cinema-style)
 	// writer uses. Images are otherwise discarded after accounting.
@@ -54,7 +51,7 @@ type Options struct {
 	// Run then skips the per-call build entirely; the injected Renderer
 	// must have been built (NewRenderer + Prepare) over the same grid,
 	// field, and transfer-function parameters this filter is configured
-	// with. Ignored when Reference is set.
+	// with.
 	Renderer *Renderer
 }
 
@@ -84,13 +81,6 @@ func New(opts Options) *Filter {
 // Name implements viz.Filter.
 func (f *Filter) Name() string { return "Volume Rendering" }
 
-// rayBox returns the parametric overlap of a ray with bounds. It is the
-// shared mesh.RayBox slab test; the wrapper survives for the package's
-// historical tests and callers.
-func rayBox(orig, dir mesh.Vec3, b mesh.Bounds) (t0, t1 float64, ok bool) {
-	return mesh.RayBox(orig, dir, b)
-}
-
 // Background is the canvas color behind the volume.
 var Background = render.Color{0.06, 0.06, 0.08, 1}
 
@@ -98,20 +88,12 @@ var Background = render.Color{0.06, 0.06, 0.08, 1}
 // background blending: the alpha channel carries the accumulated opacity
 // of this grid's ray segment. The sort-last distributed compositor blends
 // per-rank segment images front to back; single-node rendering blends one
-// segment over the background (RenderImage).
+// segment over the background (RenderImage). It builds the acceleration
+// state for this one call; loops rendering many views of the same volume
+// should build a Renderer once instead.
 func RenderSegments(g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
 	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
-	return RenderSegmentsInto(nil, g, field, tf, cam, w, h, ex)
-}
-
-// RenderSegmentsInto is RenderSegments rendering into a caller-provided
-// framebuffer (reset here), allocating one only when im is nil. It runs
-// the accelerated marcher, building the acceleration state for this one
-// call; loops rendering many views of the same volume should build a
-// Renderer once instead.
-func RenderSegmentsInto(im *render.Image, g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
-	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
-	return NewRenderer(g, field, tf, ex).RenderSegmentsInto(im, cam, w, h, ex)
+	return NewRenderer(g, field, tf, ex).RenderSegmentsInto(nil, cam, w, h, ex)
 }
 
 // BlendBackground flattens a premultiplied segment image over the canvas.
@@ -131,15 +113,6 @@ func BlendBackground(im *render.Image) {
 func RenderImage(g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
 	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	im := RenderSegments(g, field, tf, cam, w, h, ex)
-	BlendBackground(im)
-	return im
-}
-
-// RenderImageInto is RenderImage with a reusable framebuffer (see
-// RenderSegmentsInto).
-func RenderImageInto(im *render.Image, g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
-	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
-	im = RenderSegmentsInto(im, g, field, tf, cam, w, h, ex)
 	BlendBackground(im)
 	return im
 }
@@ -164,19 +137,9 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	// The acceleration state (macrocell grid + LUT) is built once and
 	// amortized over the whole 50-image orbit — or skipped entirely when
 	// a cached Renderer is injected (Options.Renderer).
-	var r *Renderer
-	if !f.opts.Reference {
-		if f.opts.Renderer != nil {
-			r = f.opts.Renderer
-		} else {
-			r = NewRenderer(g, field, tf, ex)
-		}
-	}
-	renderInto := func(im *render.Image, cam render.Camera) *render.Image {
-		if r != nil {
-			return r.RenderImageInto(im, cam, f.opts.Width, f.opts.Height, ex)
-		}
-		return RenderImageReferenceInto(im, g, field, tf, cam, f.opts.Width, f.opts.Height, ex)
+	r := f.opts.Renderer
+	if r == nil {
+		r = NewRenderer(g, field, tf, ex)
 	}
 	// With no sink retaining frames, the whole orbit reuses one
 	// framebuffer; a sink may hold the image past the frame, so it gets a
@@ -186,9 +149,9 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		az := 2 * math.Pi * float64(i) / float64(f.opts.Images)
 		cam := render.OrbitCamera(b, az, 0.35, 2.0)
 		if f.opts.Sink != nil {
-			f.opts.Sink(i, az, renderInto(nil, cam))
+			f.opts.Sink(i, az, r.RenderImageInto(nil, cam, f.opts.Width, f.opts.Height, ex))
 		} else {
-			reuse = renderInto(reuse, cam)
+			reuse = r.RenderImageInto(reuse, cam, f.opts.Width, f.opts.Height, ex)
 		}
 	}
 	// Rays resample the whole volume every image: the working set is the

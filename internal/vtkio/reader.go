@@ -52,6 +52,33 @@ func (sc *scanner) nextInt() (int, error) {
 	return strconv.Atoi(w)
 }
 
+// nextCount reads a header count or cell arity, rejecting negatives.
+// Callers grow their slices as data arrives rather than sizing them from
+// the count, so a huge count in a short file costs nothing up front.
+func (sc *scanner) nextCount(what string) (int, error) {
+	n, err := sc.nextInt()
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("vtkio: negative %s %d", what, n)
+	}
+	return n, nil
+}
+
+// nextIndex reads a point index and range-checks it against nPoints
+// before narrowing it to int32.
+func (sc *scanner) nextIndex(nPoints int) (int32, error) {
+	v, err := sc.nextInt()
+	if err != nil {
+		return 0, err
+	}
+	if v < 0 || v >= nPoints {
+		return 0, fmt.Errorf("vtkio: point index %d out of range [0,%d)", v, nPoints)
+	}
+	return int32(v), nil
+}
+
 func (sc *scanner) nextFloat() (float64, error) {
 	w, err := sc.next()
 	if err != nil {
@@ -91,22 +118,24 @@ func readPoints(sc *scanner) ([]mesh.Vec3, error) {
 	if err := sc.expect("POINTS"); err != nil {
 		return nil, err
 	}
-	n, err := sc.nextInt()
+	n, err := sc.nextCount("point count")
 	if err != nil {
 		return nil, err
 	}
 	if _, err := sc.next(); err != nil { // data type word
 		return nil, err
 	}
-	pts := make([]mesh.Vec3, n)
+	var pts []mesh.Vec3
 	for i := 0; i < n; i++ {
+		var p mesh.Vec3
 		for c := 0; c < 3; c++ {
 			v, err := sc.nextFloat()
 			if err != nil {
 				return nil, fmt.Errorf("vtkio: point %d: %w", i, err)
 			}
-			pts[i][c] = v
+			p[c] = v
 		}
+		pts = append(pts, p)
 	}
 	return pts, nil
 }
@@ -183,7 +212,7 @@ func ReadTriMesh(r io.Reader) (*mesh.TriMesh, error) {
 	if err := sc.expect("POLYGONS"); err != nil {
 		return nil, err
 	}
-	nPolys, err := sc.nextInt()
+	nPolys, err := sc.nextCount("polygon count")
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +230,9 @@ func ReadTriMesh(r io.Reader) (*mesh.TriMesh, error) {
 		}
 		var tri [3]int32
 		for c := 0; c < 3; c++ {
-			v, err := sc.nextInt()
-			if err != nil {
+			if tri[c], err = sc.nextIndex(len(pts)); err != nil {
 				return nil, err
 			}
-			tri[c] = int32(v)
 		}
 		out.Tris = append(out.Tris, tri)
 	}
@@ -240,28 +267,28 @@ func ReadUnstructured(r io.Reader) (*mesh.UnstructuredMesh, error) {
 	if err := sc.expect("CELLS"); err != nil {
 		return nil, err
 	}
-	nCells, err := sc.nextInt()
+	nCells, err := sc.nextCount("cell count")
 	if err != nil {
 		return nil, err
 	}
 	if _, err := sc.nextInt(); err != nil { // total size
 		return nil, err
 	}
-	conns := make([][]int32, nCells)
+	var conns [][]int32
 	for c := 0; c < nCells; c++ {
-		arity, err := sc.nextInt()
+		arity, err := sc.nextCount("cell arity")
 		if err != nil {
 			return nil, err
 		}
-		conn := make([]int32, arity)
+		var conn []int32
 		for i := 0; i < arity; i++ {
-			v, err := sc.nextInt()
+			v, err := sc.nextIndex(len(pts))
 			if err != nil {
 				return nil, err
 			}
-			conn[i] = int32(v)
+			conn = append(conn, v)
 		}
-		conns[c] = conn
+		conns = append(conns, conn)
 	}
 	if err := sc.expect("CELL_TYPES"); err != nil {
 		return nil, err

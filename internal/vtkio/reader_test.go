@@ -83,36 +83,63 @@ func TestUnstructuredRoundTrip(t *testing.T) {
 	}
 }
 
+// triMeshGarbage holds malformed POLYDATA inputs ReadTriMesh must
+// reject with an error; they also seed FuzzReadTriMesh.
+var triMeshGarbage = map[string]string{
+	"binary": "# vtk DataFile Version 3.0\nt\nBINARY\nDATASET POLYDATA\n",
+	"wrong dataset": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET STRUCTURED_POINTS\n" +
+		"DIMENSIONS 2 2 2\n",
+	"quad polygon": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
+		"POINTS 4 double\n0 0 0\n1 0 0\n1 1 0\n0 1 0\nPOLYGONS 1 5\n4 0 1 2 3\n",
+	"bad index": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
+		"POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nPOLYGONS 1 4\n3 0 1 9\n",
+	"truncated":       "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\nPOINTS 5 double\n0 0 0\n",
+	"negative points": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\nPOINTS -1 float\n",
+	"huge points": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
+		"POINTS 4000000000000000000 float\n0 0 0\n",
+	"negative polygons": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
+		"POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nPOLYGONS -1 0\n",
+	"huge polygons": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
+		"POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nPOLYGONS 4000000000000000000 4\n3 0 1 2\n",
+	// 2^32 wraps to point 0 through int32.
+	"wrapping index": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
+		"POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nPOLYGONS 1 4\n3 4294967296 1 2\n",
+}
+
 func TestReadTriMeshRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"binary": "# vtk DataFile Version 3.0\nt\nBINARY\nDATASET POLYDATA\n",
-		"wrong dataset": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET STRUCTURED_POINTS\n" +
-			"DIMENSIONS 2 2 2\n",
-		"quad polygon": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
-			"POINTS 4 double\n0 0 0\n1 0 0\n1 1 0\n0 1 0\nPOLYGONS 1 5\n4 0 1 2 3\n",
-		"bad index": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\n" +
-			"POINTS 3 double\n0 0 0\n1 0 0\n0 1 0\nPOLYGONS 1 4\n3 0 1 9\n",
-		"truncated": "# vtk DataFile Version 3.0\nt\nASCII\nDATASET POLYDATA\nPOINTS 5 double\n0 0 0\n",
-	}
-	for name, in := range cases {
+	for name, in := range triMeshGarbage {
 		if _, err := ReadTriMesh(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
+const (
+	ugHead      = "# vtk DataFile Version 3.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+	ugTetPoints = "POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+)
+
+// unstructuredGarbage holds malformed UNSTRUCTURED_GRID inputs
+// ReadUnstructured must reject with an error; they also seed
+// FuzzReadUnstructured.
+var unstructuredGarbage = map[string]string{
+	"unknown cell code": ugHead + ugTetPoints + "CELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n99\n",
+	"tet with 3 points": ugHead + ugTetPoints + "CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n10\n",
+	"negative points":   ugHead + "POINTS -1 float\n",
+	"huge points":       ugHead + "POINTS 4000000000000000000 float\n0 0 0\n",
+	"negative cells":    ugHead + ugTetPoints + "CELLS -2 0\n",
+	"huge cells":        ugHead + ugTetPoints + "CELLS 4000000000000000000 5\n4 0 1 2 3\n",
+	"negative arity":    ugHead + ugTetPoints + "CELLS 1 5\n-5 0 1 2 3\nCELL_TYPES 1\n10\n",
+	"huge arity":        ugHead + ugTetPoints + "CELLS 1 5\n4000000000000000000 0 1 2 3\n",
+	// 2^32+3 wraps to point 3 through int32.
+	"wrapping index": ugHead + ugTetPoints + "CELLS 1 5\n4 0 1 2 4294967299\nCELL_TYPES 1\n10\n",
+}
+
 func TestReadUnstructuredRejectsGarbage(t *testing.T) {
-	bad := "# vtk DataFile Version 3.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n" +
-		"POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n" +
-		"CELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n99\n"
-	if _, err := ReadUnstructured(strings.NewReader(bad)); err == nil {
-		t.Error("unknown cell code accepted")
-	}
-	mismatch := "# vtk DataFile Version 3.0\nt\nASCII\nDATASET UNSTRUCTURED_GRID\n" +
-		"POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n" +
-		"CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n10\n"
-	if _, err := ReadUnstructured(strings.NewReader(mismatch)); err == nil {
-		t.Error("tet with 3 points accepted")
+	for name, in := range unstructuredGarbage {
+		if _, err := ReadUnstructured(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
