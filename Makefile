@@ -43,8 +43,8 @@
 #   make bench-obs - the metrics-plane benchmarks recorded in
 #                  BENCH_PR10.json (counter/sharded/histogram record
 #                  cost, full-registry scrape, attribution join, and
-#                  the instrumented-vs-bare par.For dispatch check),
-#                  -benchmem
+#                  par.For dispatch bare next to instrumented, whose
+#                  counters and chunk histogram are obs's), -benchmem
 #   make fuzz    - run each native fuzz target (the VTK readers) for 10s;
 #                  plain go test runs their seed corpora as ordinary tests
 #   make govern  - run the vizpower govern subcommand at demonstration
@@ -145,7 +145,7 @@ bench-obs:
 	$(GO) test -timeout 600s . -run xxx -benchmem \
 		-bench 'BenchmarkObs' -benchtime=2s
 	$(GO) test -timeout 600s ./internal/par -run xxx -benchmem \
-		-bench 'BenchmarkParForDispatch$$' -benchtime=2s
+		-bench 'BenchmarkParForDispatch(Telemetry)?$$' -benchtime=2s
 
 # Run the closed-loop governor sweep at demonstration scale.
 govern:

@@ -367,6 +367,12 @@ func serveCmd(c *harness.Config, opt *options) error {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
+	if c.Tracer == nil {
+		// Counters only, attached after the calibration so its governed
+		// numbers stay those of an uninstrumented pool: the vizpower_pool_*
+		// series on /metrics count served work instead of reading 0.
+		c.Pool.Instrument(nil)
+	}
 	hs := &http.Server{Addr: opt.addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
@@ -686,7 +692,11 @@ func profileCmd(c *harness.Config, opt *options) error {
 	// the meter timeline of the capped pipeline run — the distributed
 	// advection pass above (unmetered) shows up as extra self time, not
 	// extra joules.
-	joules := obs.Attribute(telemetry.Summarize(spans), samples)
+	var meteredJ float64
+	for _, s := range samples {
+		meteredJ += s.EnergyJ
+	}
+	joules := obs.Attribute(telemetry.Summarize(spans), meteredJ)
 	summaryPath := filepath.Join(opt.out, "summary.txt")
 	sf, err := os.Create(summaryPath)
 	if err != nil {

@@ -38,9 +38,6 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 // Norm returns |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm2 returns |v|².
-func (v Vec3) Norm2() float64 { return v.Dot(v) }
-
 // Normalize returns v/|v|, or the zero vector if |v| is zero.
 func (v Vec3) Normalize() Vec3 {
 	n := v.Norm()

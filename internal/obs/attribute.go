@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/perfctr"
 	"repro/internal/telemetry"
 )
 
@@ -20,24 +19,21 @@ type StageJoules struct {
 	Share   float64 // Joules / total, in [0,1]
 }
 
-// Attribute joins a telemetry self-time summary with a power meter
-// sample timeline to answer "where did the joules go?". The meter
-// measures the whole package — it cannot see stages — so the join
-// distributes the measured total (Σ Sample.EnergyJ) across stages in
-// proportion to span self time. Self time partitions the traced wall
-// clock (each nanosecond belongs to exactly one stage, per
-// telemetry.Summarize), so proportional distribution is the unique
-// assignment consistent with a constant-power-within-stage model, and
-// the rows sum to the measured total by construction.
+// Attribute answers "where did the joules go?" for one measured
+// window: it distributes totalJ, the package energy a power meter read
+// over the window (Σ perfctr.Sample.EnergyJ, or one governed phase's
+// EnergyJ), across the window's stages in proportion to span self
+// time. The meter measures the whole package — it cannot see stages.
+// Self time partitions the traced wall clock (each nanosecond belongs
+// to exactly one stage, per telemetry.Summarize), so proportional
+// distribution is the unique assignment consistent with a
+// constant-power-within-stage model, and the rows sum to totalJ by
+// construction.
 //
 // Rows come back sorted by joules descending. Either input may be
-// empty: no samples → zero-joule rows (self time still reported); no
+// empty: zero joules → zero-joule rows (self time still reported); no
 // stages → a single "(untraced)" row carrying the whole total.
-func Attribute(stats []telemetry.StageStat, samples []perfctr.Sample) []StageJoules {
-	var totalJ float64
-	for _, s := range samples {
-		totalJ += s.EnergyJ
-	}
+func Attribute(stats []telemetry.StageStat, totalJ float64) []StageJoules {
 	var totalSelf float64
 	for _, st := range stats {
 		totalSelf += st.SelfSec()

@@ -88,7 +88,8 @@ func BenchmarkObsScrape(b *testing.B) {
 }
 
 // BenchmarkObsAttribute measures the energy-attribution join at a
-// profile-sized input: ~16 stages over a 4096-sample meter timeline.
+// profile-sized input, as vizpower profile runs it: the joules total
+// of a 4096-sample meter timeline split over ~16 stages.
 func BenchmarkObsAttribute(b *testing.B) {
 	stats := make([]telemetry.StageStat, 16)
 	for i := range stats {
@@ -104,7 +105,11 @@ func BenchmarkObsAttribute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := Attribute(stats, samples)
+		var totalJ float64
+		for _, s := range samples {
+			totalJ += s.EnergyJ
+		}
+		rows := Attribute(stats, totalJ)
 		if len(rows) != len(stats) {
 			b.Fatal("bad join")
 		}

@@ -1,11 +1,13 @@
-// Package obs is the unified metrics plane of the reproduction: a
-// zero-dependency, allocation-free-on-the-hot-path metrics registry
-// (atomic counters, gauges, and fixed-bucket histograms under a small
-// static label set, plus cache-line-padded per-worker shards folded at
-// scrape) with a deterministic Prometheus text-format encoder, an
-// energy-attribution join between telemetry span self time and power
-// meter samples, and a bounded flight recorder for governor cap
-// decisions.
+// Package obs is the unified metrics plane of the reproduction: an
+// allocation-free-on-the-hot-path metrics registry that depends only
+// on the standard library and internal/telemetry (atomic counters,
+// gauges, and fixed-bucket histograms under a small static label set,
+// plus cache-line-padded per-worker shards folded at scrape) with a
+// deterministic Prometheus text-format encoder, an energy-attribution
+// join between telemetry span self time and a metered joules total,
+// and a bounded flight recorder for governor cap decisions. The par
+// pool and the dist fabric record into the same primitives,
+// unregistered, and are exported at scrape time.
 //
 // The paper's whole argument rests on measuring where joules and
 // seconds go per phase; production in situ stacks make the matching
@@ -20,8 +22,8 @@
 //     path stays at the BENCH_PR1/PR5 baseline.
 //
 //   - Recording is lock-free and allocation-free. A Counter.Add is one
-//     atomic add; a Histogram.Observe is a bounds scan plus two atomic
-//     adds and a CAS-accumulated float sum; a ShardedCounter.Add hits a
+//     atomic add; a Histogram.Observe is a bounds scan plus one atomic
+//     add and a CAS-accumulated float sum; a ShardedCounter.Add hits a
 //     cache-line-padded per-worker slot that is folded into one series
 //     only at scrape time. Registration (startup-time) takes a lock;
 //     the hot path never does.
@@ -179,8 +181,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
-	checkBounds(name, bounds)
-	h := &Histogram{bounds: bounds, buckets: make([]padCounter, len(bounds)+1)}
+	checkBounds(name, bounds) // names the metric; NewHistogram cannot
+	h := NewHistogram(bounds)
 	r.register(name, help, kindHistogram, bounds, labels).h = h
 	return h
 }
@@ -202,9 +204,11 @@ func (r *Registry) ShardedCounter(name, help string, shards int, labels ...Label
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape
-// time — the adapter for subsystems that already keep their own padded
-// per-worker counters (par.PoolStats, dist.FabricTotals, CacheStats):
-// the existing shards are the hot path, the fold happens here.
+// time — the adapter for subsystems that count on their own: the par
+// pool and the dist fabric record into unregistered ShardedCounters
+// that outlive any one registry, the serve cache keeps CacheStats; the
+// scrape reads their folded snapshots (par.PoolStats,
+// dist.FabricTotals) here.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -223,8 +227,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 // HistogramFunc registers a histogram whose buckets are read at scrape
 // time: fn returns per-bucket (non-cumulative) counts of length
 // len(bounds)+1 and the observation sum; the count is the bucket
-// total. The pool's chunk-latency buckets are exported this way — par
-// already counts them per worker; the scrape folds and cumulates.
+// total. The pool's chunk-seconds histogram is exported this way — par
+// records into an unregistered NewHistogram; the scrape reads its
+// Buckets and Sum and cumulates.
 func (r *Registry) HistogramFunc(name, help string, bounds []float64, fn func() ([]int64, float64), labels ...Label) {
 	if r == nil {
 		return
@@ -323,13 +328,24 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket histogram: an Observe is a linear bounds
 // scan (the static bucket sets here have ≤ a dozen bounds — a branchy
-// binary search would cost more than it saves), one padded bucket add,
-// a CAS-accumulated sum, and a count add. No allocation, no locks.
+// binary search would cost more than it saves), one padded bucket add
+// and a CAS-accumulated sum; the count is the bucket total. The sum
+// sits on its own cache line, so its CAS never evicts the read-only
+// bounds every concurrent observer scans. No allocation, no locks.
 type Histogram struct {
 	bounds  []float64
 	buckets []padCounter // len(bounds)+1; last is +Inf
+	_       [16]byte     // fills the two slice headers' line
 	sum     FloatCounter
-	count   atomic.Int64
+	_       [56]byte
+}
+
+// NewHistogram builds a histogram without registering it — for a
+// subsystem (the par pool) that records on its own and is exported
+// later through HistogramFunc. bounds are as for Registry.Histogram.
+func NewHistogram(bounds []float64) *Histogram {
+	checkBounds("histogram", bounds)
+	return &Histogram{bounds: bounds, buckets: make([]padCounter, len(bounds)+1)}
 }
 
 // Observe records one value.
@@ -345,15 +361,15 @@ func (h *Histogram) Observe(v float64) {
 	if v >= 0 {
 		h.sum.Add(v)
 	}
-	h.count.Add(1)
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
+	var n int64
+	for _, c := range h.Buckets() {
+		n += c
 	}
-	return h.count.Load()
+	return n
 }
 
 // Sum returns the sum of observed values.
@@ -364,8 +380,12 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// snapshot reads the per-bucket counts (non-cumulative).
-func (h *Histogram) snapshot() []int64 {
+// Buckets reads the per-bucket counts (non-cumulative, len(bounds)+1,
+// the last one +Inf); nil on a nil histogram.
+func (h *Histogram) Buckets() []int64 {
+	if h == nil {
+		return nil
+	}
 	out := make([]int64, len(h.buckets))
 	for i := range h.buckets {
 		out[i] = h.buckets[i].v.Load()

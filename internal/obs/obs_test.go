@@ -36,7 +36,7 @@ func TestHistogramBuckets(t *testing.T) {
 		h.Observe(v)
 	}
 	want := []int64{2, 1, 1, 1} // le=0.1 gets 0.05 and 0.1 (inclusive bound)
-	got := h.snapshot()
+	got := h.Buckets()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("bucket %d = %d, want %d (all %v)", i, got[i], want[i], got)

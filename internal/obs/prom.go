@@ -81,7 +81,7 @@ func writeHistogramSeries(bw *bufio.Writer, f *family, s *series) {
 	var sum float64
 	switch {
 	case s.h != nil:
-		buckets = s.h.snapshot()
+		buckets = s.h.Buckets()
 		sum = s.h.Sum()
 	case s.hfn != nil:
 		buckets, sum = s.hfn()

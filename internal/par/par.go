@@ -221,8 +221,8 @@ func (s *poolState) worker(w int) {
 		}
 		select {
 		case <-s.wake:
-			if in := s.instr.Load(); in != nil && !parked.IsZero() && w < len(in.workers) {
-				in.workers[w].idleNs.Add(int64(time.Since(parked)))
+			if in := s.instr.Load(); in != nil && !parked.IsZero() {
+				in.idleNs.Add(w, int64(time.Since(parked)))
 			}
 		case <-s.quit:
 			return
@@ -373,7 +373,7 @@ func (t *loopTask) run(w int) {
 	}
 	if in != nil {
 		if stolen != 0 {
-			in.workers[w].stolen.Add(stolen)
+			in.stolen.Add(w, stolen)
 		}
 		if in.tracer != nil {
 			in.tracer.End(telemetry.WorkerTrack(w), "par.chunks", spanStart)

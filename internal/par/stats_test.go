@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,9 +10,9 @@ import (
 )
 
 // TestPoolStatsCounters checks the counter bookkeeping: executed chunks
-// across all workers must equal the loop's chunk count, the latency
-// histogram must account every chunk, launches count dispatches, and
-// steals never exceed tasks.
+// across all workers must equal the loop's chunk count, the
+// chunk-seconds histogram must account every chunk with a positive sum,
+// launches count dispatches, and steals never exceed tasks.
 func TestPoolStatsCounters(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -32,19 +33,20 @@ func TestPoolStatsCounters(t *testing.T) {
 		t.Errorf("total tasks = %d, want %d", tot.Tasks, launches*chunks)
 	}
 	var histo int64
-	for _, c := range tot.Latency {
+	for _, c := range st.ChunkBuckets {
 		histo += c
 	}
 	if histo != tot.Tasks {
-		t.Errorf("latency histogram accounts %d chunks, want %d", histo, tot.Tasks)
+		t.Errorf("chunk histogram accounts %d chunks, want %d", histo, tot.Tasks)
+	}
+	if st.ChunkSumSec <= 0 {
+		t.Errorf("chunk histogram sum = %v s, want > 0", st.ChunkSumSec)
 	}
 	if tot.Stolen > tot.Tasks {
 		t.Errorf("stolen %d > tasks %d", tot.Stolen, tot.Tasks)
 	}
-	for w, ws := range st.Workers {
-		if ws.Tasks < 0 || ws.Stolen < 0 {
-			t.Errorf("worker %d has negative counters: %+v", w, ws)
-		}
+	if tot.Stolen < 0 {
+		t.Errorf("negative steal count %d", tot.Stolen)
 	}
 }
 
@@ -218,17 +220,24 @@ func TestDisabledPathAllocs(t *testing.T) {
 	}
 }
 
-// TestLatencyBucketMapping pins the histogram bucket edges.
+// TestLatencyBucketMapping pins the chunk-seconds histogram's bucket
+// edges as a pool records them: a chunk of exactly a bound's duration
+// lands in that bound's bucket (inclusive, Prometheus le semantics).
 func TestLatencyBucketMapping(t *testing.T) {
 	for _, tc := range []struct {
 		ns   int64
 		want int
 	}{
-		{0, 0}, {999, 0}, {1_000, 1}, {9_999, 1}, {10_000, 2},
-		{999_999, 3}, {1_000_000, 4}, {2_000_000_000, LatencyBuckets - 1},
+		{0, 0}, {999, 0}, {1_000, 0}, {1_001, 1}, {9_999, 1}, {10_000, 1}, {10_001, 2},
+		{999_999, 3}, {1_000_000, 3}, {1_000_001, 4}, {2_000_000_000, len(ChunkBoundsSec)},
 	} {
-		if got := latencyBucket(tc.ns); got != tc.want {
-			t.Errorf("latencyBucket(%d) = %d, want %d", tc.ns, got, tc.want)
+		p := NewPool(1)
+		p.Instrument(nil)
+		p.instr.Load().observe(0, time.Duration(tc.ns))
+		buckets := p.Stats().ChunkBuckets
+		p.Close()
+		if got := slices.Index(buckets, 1); got != tc.want {
+			t.Errorf("%d ns chunk landed in bucket %d, want %d (buckets %v)", tc.ns, got, tc.want, buckets)
 		}
 	}
 }

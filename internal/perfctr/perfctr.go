@@ -192,6 +192,68 @@ func (s *Sampler) Sample(nowSec float64) (Sample, error) {
 // DefaultInterval is the paper's 100 ms energy-sampling cadence.
 const DefaultInterval = 0.1
 
+// Meter is the measurement loop every caller drives: the hardware
+// counters and the package energy counter advance as modeled execution
+// progresses under the programmed RAPL limit, on a virtual clock, and
+// the gated sampler reads the registers back — a caller only ever sees
+// what the registers say, exactly like the paper's harness. Trace and
+// the closed-loop governor both step one.
+type Meter struct {
+	pkg     *rapl.Package
+	ctrs    *Counters
+	sampler *Sampler
+
+	// nowSec is the virtual clock; spentJ mirrors the energy-status
+	// counter without its 32-bit wrap.
+	nowSec, spentJ float64
+}
+
+// NewMeter programs the LLC events on pkg's register file and primes
+// the sampler at virtual time 0.
+func NewMeter(pkg *rapl.Package) (*Meter, error) {
+	file := pkg.File()
+	m := &Meter{
+		pkg:     pkg,
+		ctrs:    NewCounters(file, pkg.Spec()),
+		sampler: NewSampler(msr.Open(file, msr.StudyAllowlist()), pkg.Spec()),
+	}
+	if err := m.sampler.ProgramLLCEvents(); err != nil {
+		return nil, err
+	}
+	if err := m.sampler.Prime(0); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Advance runs dt seconds at the governed operating point r, during
+// which the package retired instr instructions and made
+// llcRefs/llcMisses last-level-cache accesses: the energy counter gains
+// r.PowerWatts·dt, the counters advance, and the clock moves on.
+func (m *Meter) Advance(r cpu.CapResult, dt, instr, llcRefs, llcMisses float64) {
+	m.pkg.AccumulateEnergy(r.PowerWatts * dt)
+	m.spentJ += r.PowerWatts * dt
+	m.ctrs.Advance(dt, r.FreqGHz, instr, llcRefs, llcMisses)
+	m.nowSec += dt
+}
+
+// Sample reads the registers at the current virtual time.
+func (m *Meter) Sample() (Sample, error) { return m.sampler.Sample(m.nowSec) }
+
+// NowSec is the virtual clock.
+func (m *Meter) NowSec() float64 { return m.nowSec }
+
+// EnergyJ is the energy metered so far.
+func (m *Meter) EnergyJ() float64 { return m.spentJ }
+
+// AvgWatts is the job-average power so far.
+func (m *Meter) AvgWatts() float64 {
+	if m.nowSec <= 0 {
+		return 0
+	}
+	return m.spentJ / m.nowSec
+}
+
 // Trace simulates running the analyzed executions back to back on pkg
 // under its programmed power limit, sampling every interval seconds of
 // virtual time. It returns the samples and the per-segment governed
@@ -203,19 +265,13 @@ func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample,
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	file := pkg.File()
-	ctrs := NewCounters(file, pkg.Spec())
-	sampler := NewSampler(msr.Open(file, msr.StudyAllowlist()), pkg.Spec())
-	if err := sampler.ProgramLLCEvents(); err != nil {
-		return nil, nil, err
-	}
-	if err := sampler.Prime(0); err != nil {
+	m, err := NewMeter(pkg)
+	if err != nil {
 		return nil, nil, err
 	}
 
 	results := make([]cpu.CapResult, len(segs))
 	var samples []Sample
-	now := 0.0
 	nextSample := interval
 	for i, e := range segs {
 		r := pkg.Govern(e)
@@ -229,13 +285,11 @@ func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample,
 		refRate := float64(e.LLCRefs) / r.TimeSec
 		missRate := float64(e.LLCMisses) / r.TimeSec
 		for remaining > 1e-12 {
-			step := math.Min(remaining, nextSample-now)
-			pkg.AccumulateEnergy(r.PowerWatts * step)
-			ctrs.Advance(step, r.FreqGHz, instrRate*step, refRate*step, missRate*step)
-			now += step
+			step := math.Min(remaining, nextSample-m.nowSec)
+			m.Advance(r, step, instrRate*step, refRate*step, missRate*step)
 			remaining -= step
-			if now >= nextSample-1e-12 {
-				s, err := sampler.Sample(now)
+			if m.nowSec >= nextSample-1e-12 {
+				s, err := m.Sample()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -245,8 +299,8 @@ func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample,
 		}
 	}
 	// Final partial-interval sample, if any time elapsed since the last.
-	if now > s0(samples) {
-		s, err := sampler.Sample(now)
+	if m.nowSec > s0(samples) {
+		s, err := m.Sample()
 		if err != nil {
 			return nil, nil, err
 		}

@@ -156,7 +156,7 @@ type Governor struct {
 	spec cpu.Spec
 	opt  Options
 
-	m      *meter
+	m      *perfctr.Meter
 	ctrl   controller
 	ring   *sampleRing
 	flight *obs.FlightRecorder
@@ -182,7 +182,7 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 		opt.TargetWatts = spec.TDPWatts
 	}
 	opt.defaults()
-	m, err := newMeter(pkg)
+	m, err := perfctr.NewMeter(pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 // record logs one cap decision to the flight recorder and mirrors it
 // into the live gauges.
 func (g *Governor) record(d obs.Decision, class core.Class, boundary bool) {
-	d.TimeSec = g.m.nowSec
+	d.TimeSec = g.m.NowSec()
 	g.flight.Record(d)
 	g.gauges.onDecision(d, class, boundary)
 }
@@ -444,7 +444,11 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 			dt = g.opt.IntervalSec
 		}
 		frac := dt / r.TimeSec
-		s, err := g.m.tick(e, r, dt, frac)
+		g.m.Advance(r, dt,
+			float64(e.Instructions)*frac,
+			float64(e.LLCRefs)*frac,
+			float64(e.LLCMisses)*frac)
+		s, err := g.m.Sample()
 		if err != nil {
 			return rep, fmt.Errorf("power: %s: %w", label, err)
 		}
@@ -454,7 +458,7 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 		rep.EnergyJ += r.PowerWatts * dt
 		rep.Ticks++
 		last = s
-		g.gauges.onTick(r.PowerWatts, g.m.avgWatts(), r.PowerWatts*dt)
+		g.gauges.onTick(r.PowerWatts, g.m.AvgWatts(), r.PowerWatts*dt)
 
 		effCap := g.pkg.EffectiveCapWatts()
 		g.ctrl.credit(dt, r.PowerWatts)
@@ -495,7 +499,7 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 		// Trim on the job-average residual the bank could not remove —
 		// conditional integration keeps it frozen while the cap is not
 		// binding or is pinned at a rail.
-		g.ctrl.trimUpdate(g.m.avgWatts(), sawThrottle, sawTDP, sawFloor)
+		g.ctrl.trimUpdate(g.m.AvgWatts(), sawThrottle, sawTDP, sawFloor)
 	}
 
 	rep.Cycle = st.visits
@@ -606,9 +610,9 @@ func (g *Governor) RunSegments(segs []Segment) (Result, error) {
 func (g *Governor) finish() Result {
 	return Result{
 		TargetWatts:      g.opt.TargetWatts,
-		TimeSec:          g.m.nowSec,
-		EnergyJ:          g.m.spentJ,
-		AvgPowerWatts:    g.m.avgWatts(),
+		TimeSec:          g.m.NowSec(),
+		EnergyJ:          g.m.EnergyJ(),
+		AvgPowerWatts:    g.m.AvgWatts(),
 		FinalCapWatts:    g.pkg.EffectiveCapWatts(),
 		Reprograms:       g.reprograms,
 		Samples:          g.ring.samples(),

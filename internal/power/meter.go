@@ -1,66 +1,6 @@
 package power
 
-import (
-	"repro/internal/cpu"
-	"repro/internal/msr"
-	"repro/internal/perfctr"
-	"repro/internal/rapl"
-)
-
-// meter is the measurement substrate every closed-loop run drives: the
-// hardware counters advance as modeled execution progresses under the
-// currently-programmed RAPL limit, and the gated sampler reads them
-// back — the controller only ever sees what the registers say, exactly
-// like the paper's harness.
-type meter struct {
-	pkg     *rapl.Package
-	ctrs    *perfctr.Counters
-	sampler *perfctr.Sampler
-
-	// nowSec is the virtual clock; spentJ mirrors the energy-status
-	// counter without its 32-bit wrap.
-	nowSec float64
-	spentJ float64
-}
-
-func newMeter(pkg *rapl.Package) (*meter, error) {
-	file := pkg.File()
-	spec := pkg.Spec()
-	m := &meter{
-		pkg:     pkg,
-		ctrs:    perfctr.NewCounters(file, spec),
-		sampler: perfctr.NewSampler(msr.Open(file, msr.StudyAllowlist()), spec),
-	}
-	if err := m.sampler.ProgramLLCEvents(); err != nil {
-		return nil, err
-	}
-	if err := m.sampler.Prime(0); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// tick advances dt seconds of execution e at the governed operating
-// point r (frac is the fraction of e completed during the tick),
-// accumulates energy into the RAPL counter, and samples the registers.
-func (m *meter) tick(e cpu.Execution, r cpu.CapResult, dt, frac float64) (perfctr.Sample, error) {
-	m.pkg.AccumulateEnergy(r.PowerWatts * dt)
-	m.spentJ += r.PowerWatts * dt
-	m.ctrs.Advance(dt, r.FreqGHz,
-		float64(e.Instructions)*frac,
-		float64(e.LLCRefs)*frac,
-		float64(e.LLCMisses)*frac)
-	m.nowSec += dt
-	return m.sampler.Sample(m.nowSec)
-}
-
-// avgWatts is the job-average power so far.
-func (m *meter) avgWatts() float64 {
-	if m.nowSec <= 0 {
-		return 0
-	}
-	return m.spentJ / m.nowSec
-}
+import "repro/internal/perfctr"
 
 // DefaultMaxSamples bounds a run's retained measurement timeline. The
 // seed controller appended every 100 ms sample forever — a week-long

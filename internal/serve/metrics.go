@@ -100,8 +100,10 @@ func (s *Server) initMetrics() {
 	reg.CounterFunc("vizpower_cache_waits_total", "Requests that joined an in-flight build.",
 		cch(func(c CacheStats) float64 { return float64(c.Waits) }))
 
-	// Worker pool — the par package already keeps padded per-worker
-	// shards; the scrape folds them (Totals) instead of re-counting.
+	// Worker pool — par records into obs sharded counters and an
+	// unregistered chunk-seconds histogram; the scrape reads their
+	// folded snapshot (Stats) instead of re-counting. All zero until
+	// the pool is instrumented.
 	reg.GaugeFunc("vizpower_pool_workers", "Worker goroutines in the pool.",
 		func() float64 { return float64(s.pool.Workers()) })
 	reg.GaugeFunc("vizpower_pool_active_loops", "Loops on the dispatch queue now.",
@@ -114,15 +116,10 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.pool.Stats().Totals().Stolen) })
 	reg.CounterFunc("vizpower_pool_idle_seconds_total", "Seconds parked workers spent waiting.",
 		func() float64 { return float64(s.pool.Stats().Totals().IdleNs) / 1e9 })
-	poolBounds := make([]float64, len(par.LatencyBoundsNs))
-	for i, ns := range par.LatencyBoundsNs {
-		poolBounds[i] = float64(ns) / 1e9
-	}
-	reg.HistogramFunc("vizpower_pool_chunk_seconds",
-		"Chunk body latency from the pool's fixed buckets (sum not tracked).", poolBounds,
+	reg.HistogramFunc("vizpower_pool_chunk_seconds", "Chunk body wall time.", par.ChunkBoundsSec,
 		func() ([]int64, float64) {
-			lat := s.pool.Stats().Totals().Latency
-			return lat[:], 0
+			st := s.pool.Stats()
+			return st.ChunkBuckets, st.ChunkSumSec
 		})
 
 	// Rank fabric — process-lifetime padded counters, folded at scrape.

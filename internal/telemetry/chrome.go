@@ -18,28 +18,13 @@ import (
 // The output is deterministic for a given span set: tracks ascending,
 // spans in the canonical Spans() order.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTrace(w, t.Spans(), t.trackNames())
-}
-
-// WriteChromeSpans is WriteChromeTrace over an explicit span set (a
-// filtered window, or a synthetic trace in tests). names maps track
-// index to display name; missing entries fall back to "track N".
-func WriteChromeSpans(w io.Writer, spans []Span, names map[int]string) error {
-	return writeChromeTrace(w, spans, names)
-}
-
-func (t *Tracer) trackNames() map[int]string {
-	if t == nil {
-		return nil
+	spans := t.Spans()
+	names := map[int]string{}
+	if t != nil {
+		for i, tr := range t.tracks {
+			names[i] = tr.name
+		}
 	}
-	names := make(map[int]string, len(t.tracks))
-	for i, tr := range t.tracks {
-		names[i] = tr.name
-	}
-	return names
-}
-
-func writeChromeTrace(w io.Writer, spans []Span, names map[int]string) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[\n")
 	first := true

@@ -36,7 +36,9 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -83,6 +85,8 @@ type track struct {
 type Tracer struct {
 	epoch  time.Time
 	tracks []*track
+
+	resetMu sync.Mutex // serializes Reset
 }
 
 // New returns a tracer with one pipeline track plus one track per
@@ -250,12 +254,24 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Reset discards all recorded spans (the epoch is preserved, so offsets
-// from before and after a Reset remain comparable).
+// from before and after a Reset remain comparable). It is safe while
+// other goroutines record: each track is first closed (spans recorded
+// meanwhile are dropped), the spans already reserved finish publishing,
+// and only then is the track rewound. Rewinding under an in-flight
+// writer would leave it spinning forever to publish after a slot that
+// no one fills.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
+	t.resetMu.Lock()
+	defer t.resetMu.Unlock()
 	for _, tr := range t.tracks {
+		full := int64(len(tr.buf))
+		reserved := min(tr.cur.Swap(full), full)
+		for tr.published.Load() < reserved {
+			runtime.Gosched()
+		}
 		tr.published.Store(0)
 		tr.cur.Store(0)
 	}

@@ -104,6 +104,38 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// TestResetWhileRecording: a Reset that races a writer holding a
+// reserved but unpublished slot (a late pool participant recording its
+// chunk span while a benchmark resets between loops) must wait for that
+// writer, so recording afterwards neither hangs nor loses its slot.
+func TestResetWhileRecording(t *testing.T) {
+	tr := NewWithCapacity(1, 8)
+	track := tr.tracks[WorkerTrack(0)]
+	// An in-flight writer: slot 0 reserved, span not yet published.
+	slot := track.cur.Add(1) - 1
+	reset := make(chan struct{})
+	go func() { tr.Reset(); close(reset) }()
+	select {
+	case <-reset:
+		t.Fatal("Reset returned while a reserved slot was unpublished")
+	case <-time.After(20 * time.Millisecond):
+	}
+	track.buf[slot] = Span{Name: "late", Track: int32(WorkerTrack(0))}
+	track.published.CompareAndSwap(slot, slot+1)
+	<-reset
+
+	recorded := make(chan struct{})
+	go func() { tr.End(WorkerTrack(0), "after", tr.Begin()); close(recorded) }()
+	select {
+	case <-recorded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("recording after a concurrent Reset hung")
+	}
+	if spans := tr.Spans(); len(spans) != 1 || spans[0].Name != "after" || tr.Dropped() != 0 {
+		t.Errorf("after Reset: spans %v, dropped %d; want one \"after\" span, none dropped", spans, tr.Dropped())
+	}
+}
+
 // TestDroppedAccounting fills a tiny track and checks overflow is
 // counted, not blocking or corrupting.
 func TestDroppedAccounting(t *testing.T) {
