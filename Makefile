@@ -1,7 +1,7 @@
 # Build/test/benchmark wiring for the vizpower reproduction.
 #
-#   make check   - vet (root module and perfbench) + build + full test
-#                  suite + short race pass
+#   make check   - vet (gofmt check, then go vet on the root module and
+#                  perfbench) + build + full test suite + short race pass
 #   make loc     - print the non-test Go line count ROADMAP.md tracks
 #                  (perfbench excluded)
 #   make race    - the short -race run on the runtime, mesh layer, hydro
@@ -60,6 +60,7 @@
 # hang must fail fast instead of stalling CI.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/sim/clover ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
@@ -68,8 +69,11 @@ RACE_PKGS = ./internal/par ./internal/mesh ./internal/sim/clover ./internal/dpp 
 
 check: vet build test race
 
-# perfbench is its own module, so the root ./... never builds it.
+# perfbench is its own module, so the root ./... never builds it. vet
+# fails first if any Go file (perfbench included) is not gofmt-clean.
 vet:
+	@unformatted=$$(find . -name '*.go' ! -path './.bench_build/*' | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 

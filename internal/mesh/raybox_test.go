@@ -98,7 +98,7 @@ func TestRayBoxMatchesContainsForRandomRays(t *testing.T) {
 	// must lie inside the box.
 	for i := 0; i < 200; i++ {
 		fi := float64(i)
-		orig := Vec3{math.Sin(fi) * 3, math.Cos(fi * 1.7) * 3, math.Sin(fi*0.3) * 4}
+		orig := Vec3{math.Sin(fi) * 3, math.Cos(fi*1.7) * 3, math.Sin(fi*0.3) * 4}
 		dir := Vec3{math.Cos(fi * 0.9), math.Sin(fi * 1.3), math.Cos(fi * 2.1)}.Normalize()
 		t0, t1, ok := RayBox(orig, dir, b)
 		if !ok {

@@ -139,9 +139,9 @@ func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, iso float64, e
 			}
 		}
 		n := uint64(hi - lo)
-		rec.Loads(n*4, ops.Stream)                       // offset stream
-		rec.Loads(crossed*8*(24+8), ops.Strided)         // corner positions + scalars
-		rec.Flops(crossed * 6 * 12)                      // per-tet classification
+		rec.Loads(n*4, ops.Stream)               // offset stream
+		rec.Loads(crossed*8*(24+8), ops.Strided) // corner positions + scalars
+		rec.Flops(crossed * 6 * 12)              // per-tet classification
 		rec.IntOps(crossed * 6 * 10)
 		rec.Branches(crossed * 6 * 4)
 		rec.Flops(tris * 3 * 9) // edge lerps

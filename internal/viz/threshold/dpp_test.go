@@ -48,10 +48,10 @@ func TestThresholdDPPBitIdentical(t *testing.T) {
 	for _, n := range []int{8, 12, 17} {
 		g := gradGrid(t, n)
 		for _, opts := range []Options{
-			{Field: "e"},                                     // default upper-half range
-			{Field: "e", Lo: 2, Hi: float64(n) - 2},          // interior band
-			{Field: "e", Lo: 1000, Hi: 2000},                 // empty result
-			{Field: "e", Lo: -1, Hi: float64(n)},             // everything kept
+			{Field: "e"},                            // default upper-half range
+			{Field: "e", Lo: 2, Hi: float64(n) - 2}, // interior band
+			{Field: "e", Lo: 1000, Hi: 2000},        // empty result
+			{Field: "e", Lo: -1, Hi: float64(n)},    // everything kept
 		} {
 			refPool := par.NewPool(2)
 			ref, err := New(opts).Run(g, viz.NewExec(refPool))
