@@ -47,17 +47,12 @@ const (
 	// classes on this stack, so only the extremes vote.
 	missSensitive   = 0.15
 	missOpportunity = 0.55
-
-	// poolIdleOpportunity is the phase-level pool idle fraction above
-	// which the workers demonstrably cannot be kept busy.
-	poolIdleOpportunity = 0.5
 )
 
 // classVote scores one live sample in [-1, 1]: positive toward power
 // sensitive, negative toward power opportunity. capW is the effective
-// limit the sample ran under and idleFrac the pool idle fraction of the
-// surrounding phase (NaN-free, 0 when uninstrumented).
-func classVote(s perfctr.Sample, spec cpu.Spec, capW, idleFrac float64) float64 {
+// limit the sample ran under.
+func classVote(s perfctr.Sample, spec cpu.Spec, capW float64) float64 {
 	v := 0.0
 	throttled := s.EffFreqGHz < spec.AllCoreTurboGHz-1e-3
 
@@ -90,10 +85,6 @@ func classVote(s perfctr.Sample, spec cpu.Spec, capW, idleFrac float64) float64 
 		v += 0.75
 	case s.LLCMissRate >= missOpportunity:
 		v -= 0.75
-	}
-
-	if idleFrac > poolIdleOpportunity {
-		v -= 0.25
 	}
 
 	const normBy = 3.0 // max attainable |v|
@@ -132,8 +123,8 @@ type phaseState struct {
 
 // observe folds one live sample into the label's class score and knee
 // estimate. capW is the effective cap the tick ran under.
-func (st *phaseState) observe(s perfctr.Sample, spec cpu.Spec, capW, idleFrac float64) {
-	vote := classVote(s, spec, capW, idleFrac)
+func (st *phaseState) observe(s perfctr.Sample, spec cpu.Spec, capW float64) {
+	vote := classVote(s, spec, capW)
 	st.score = (1-classAlpha)*st.score + classAlpha*vote
 	switch {
 	case st.score >= classDeadband:

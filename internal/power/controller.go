@@ -22,7 +22,6 @@ import "repro/internal/cpu"
 type controller struct {
 	spec    cpu.Spec
 	targetW float64
-	gain    float64
 
 	bankJ float64
 	trimW float64
@@ -32,6 +31,10 @@ type controller struct {
 // job, and an unbounded trim is exactly the windup the seed controller
 // suffered from.
 const trimClampW = 8
+
+// trimGainWPerW is the integral-trim gain in watts of correction per
+// watt of average error.
+const trimGainWPerW = 0.5
 
 // credit accrues dt seconds at powerW into the energy bank.
 func (c *controller) credit(dt, powerW float64) {
@@ -101,5 +104,5 @@ func (c *controller) trimUpdate(avgW float64, throttled, atTDP, atFloor bool) {
 	if (atTDP && err > 0) || (atFloor && err < 0) {
 		return
 	}
-	c.trimW = clamp(c.trimW+c.gain*err, -trimClampW, trimClampW)
+	c.trimW = clamp(c.trimW+trimGainWPerW*err, -trimClampW, trimClampW)
 }

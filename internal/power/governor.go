@@ -2,8 +2,7 @@
 // planning per-phase RAPL caps offline from a calibrated model
 // (core.PlanPhaseCaps), a Governor watches the live hardware signals of
 // a real pipeline run — perf-counter IPC, effective frequency, LLC miss
-// rate, pool idle/steal counters, per-stage trace self time — and
-// reprograms the package limit at every phase boundary plus a 100 ms
+// rate, unthrottled package power — and reprograms the package limit at every phase boundary plus a 100 ms
 // intra-phase tick so the job-average power lands on a target while the
 // power-sensitive phases keep every watt the opportunity phases can
 // donate.
@@ -11,14 +10,12 @@ package power
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/perfctr"
 	"repro/internal/rapl"
-	"repro/internal/telemetry"
 )
 
 // Options configures a Governor.
@@ -29,13 +26,6 @@ type Options struct {
 	// IntervalSec is the intra-phase control tick (default
 	// perfctr.DefaultInterval, the study's 100 ms).
 	IntervalSec float64
-	// GainWPerW is the integral-trim gain in watts of correction per
-	// watt of average error (default 0.5).
-	GainWPerW float64
-	// HysteresisWatts is the dead band an intra-phase cap change must
-	// exceed before the MSR is reprogrammed (default 1 W). Phase
-	// boundaries reprogram unconditionally.
-	HysteresisWatts float64
 	// MaxSamples bounds the retained sample timeline (default
 	// DefaultMaxSamples); older samples are dropped, not the run.
 	MaxSamples int
@@ -43,21 +33,16 @@ type Options struct {
 	// (default obs.DefaultFlightRecorderSize); oldest decisions are
 	// overwritten and counted, never the run blocked.
 	DecisionLog int
-	// Metrics, when non-nil, publishes the governor's live series (cap,
-	// bank, trim, meter watts, class votes) to the registry. Register at
-	// most one governor per registry: the series names are fixed.
-	Metrics *obs.Registry
 }
+
+// hysteresisWatts is the dead band an intra-phase cap change must
+// exceed before the MSR is reprogrammed. Phase boundaries reprogram
+// unconditionally.
+const hysteresisWatts = 1
 
 func (o *Options) defaults() {
 	if o.IntervalSec <= 0 {
 		o.IntervalSec = perfctr.DefaultInterval
-	}
-	if o.GainWPerW <= 0 {
-		o.GainWPerW = 0.5
-	}
-	if o.HysteresisWatts <= 0 {
-		o.HysteresisWatts = 1
 	}
 	if o.MaxSamples <= 0 {
 		o.MaxSamples = DefaultMaxSamples
@@ -89,8 +74,6 @@ type PhaseReport struct {
 	AvgPowerWatts              float64
 	// Last-sample counter readings.
 	EffFreqGHz, IPC, LLCMissRate float64
-	// Live pipeline signals (zero on segment replays).
-	PoolIdleFrac, StealFrac, SelfTimeSec, WallSec float64
 	// DemandWatts is the label's measured demand estimate so far:
 	// the unthrottled peak when DemandIsFree, else the throttled peak
 	// (a lower bound).
@@ -160,7 +143,6 @@ type Governor struct {
 	ctrl   controller
 	ring   *sampleRing
 	flight *obs.FlightRecorder
-	gauges *govGauges
 
 	states map[string]*phaseState
 	order  []string
@@ -191,10 +173,9 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 		spec:   spec,
 		opt:    opt,
 		m:      m,
-		ctrl:   controller{spec: spec, targetW: opt.TargetWatts, gain: opt.GainWPerW},
+		ctrl:   controller{spec: spec, targetW: opt.TargetWatts},
 		ring:   newSampleRing(opt.MaxSamples),
 		flight: obs.NewFlightRecorder(opt.DecisionLog),
-		gauges: newGovGauges(opt.Metrics),
 		states: make(map[string]*phaseState),
 	}
 	before := g.pkg.EffectiveCapWatts()
@@ -208,21 +189,19 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 		OldWatts:     before,
 		NewWatts:     g.pkg.EffectiveCapWatts(),
 		Reason:       "init: program target as opening cap",
-	}, core.PowerSensitive, false)
+	})
 	return g, nil
 }
 
-// record logs one cap decision to the flight recorder and mirrors it
-// into the live gauges.
-func (g *Governor) record(d obs.Decision, class core.Class, boundary bool) {
+// record logs one cap decision to the flight recorder.
+func (g *Governor) record(d obs.Decision) {
 	d.TimeSec = g.m.NowSec()
 	g.flight.Record(d)
-	g.gauges.onDecision(d, class, boundary)
 }
 
 // decide programs a new cap and flight-records the transition with the
 // control-law components that produced it.
-func (g *Governor) decide(st *phaseState, want float64, reason string, boundary bool) error {
+func (g *Governor) decide(st *phaseState, want float64, reason string) error {
 	old := g.pkg.EffectiveCapWatts()
 	if err := g.program(want); err != nil {
 		return err
@@ -238,7 +217,7 @@ func (g *Governor) decide(st *phaseState, want float64, reason string, boundary 
 		OldWatts:     old,
 		NewWatts:     g.pkg.EffectiveCapWatts(),
 		Reason:       reason,
-	}, st.class, boundary)
+	})
 	return nil
 }
 
@@ -410,25 +389,21 @@ const maxTicks = 1_000_000
 // point, the counters advance, the sampler reads them back, the
 // classifier and controller update, and the cap is retuned behind the
 // hysteresis band.
-func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (PhaseReport, error) {
+func (g *Governor) governPhase(label string, e cpu.Execution, tw traceWindow) (PhaseReport, error) {
 	st := g.state(label)
 
 	// Boundary decision: reprogram unconditionally from the label's
 	// remembered class and the current bank.
 	capW := g.desiredCap(st)
-	if err := g.decide(st, capW, "boundary", true); err != nil {
+	if err := g.decide(st, capW, "boundary"); err != nil {
 		return PhaseReport{}, err
 	}
 
 	rep := PhaseReport{
 		Label:         label,
 		CapStartWatts: g.pkg.EffectiveCapWatts(),
-		PoolIdleFrac:  ls.idleFrac,
-		StealFrac:     ls.stealFrac,
-		SelfTimeSec:   ls.selfSec,
-		WallSec:       ls.wallSec,
-		TraceLo:       ls.traceLo,
-		TraceHi:       ls.traceHi,
+		TraceLo:       tw.lo,
+		TraceHi:       tw.hi,
 	}
 
 	var last perfctr.Sample
@@ -458,13 +433,12 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 		rep.EnergyJ += r.PowerWatts * dt
 		rep.Ticks++
 		last = s
-		g.gauges.onTick(r.PowerWatts, g.m.AvgWatts(), r.PowerWatts*dt)
 
 		effCap := g.pkg.EffectiveCapWatts()
 		g.ctrl.credit(dt, r.PowerWatts)
 		hb := g.horizons()
 		g.ctrl.clampBank(hb.hiJ, hb.loJ)
-		st.observe(s, g.spec, effCap, ls.idleFrac)
+		st.observe(s, g.spec, effCap)
 		if r.Throttled {
 			sawThrottle = true
 		}
@@ -481,8 +455,8 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 
 		// Intra-phase retune behind the hysteresis band.
 		want := g.desiredCap(st)
-		if abs(want-capW) >= g.opt.HysteresisWatts {
-			if err := g.decide(st, want, "retune", false); err != nil {
+		if abs(want-capW) >= hysteresisWatts {
+			if err := g.decide(st, want, "retune"); err != nil {
 				return rep, err
 			}
 			capW = want
@@ -516,53 +490,28 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 	return rep, nil
 }
 
-// liveStats are the signals captured around a real pipeline phase.
-type liveStats struct {
-	idleFrac  float64
-	stealFrac float64
-	selfSec   float64
-	wallSec   float64
-	// traceLo/traceHi bound the phase's spans on the tracer clock
-	// (both zero when untraced).
-	traceLo, traceHi int64
-}
+// traceWindow bounds a live phase's spans on the tracer clock; both
+// zero when the phase ran untraced (see telemetry.Window).
+type traceWindow struct{ lo, hi int64 }
 
-// capturePhase runs one pipeline phase and snapshots the pool counters
-// and trace window around it.
-func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (core.PhaseResult, liveStats, error) {
-	pre := pipe.Pool.Stats().Totals()
+// capturePhase runs one pipeline phase and records the trace window
+// around it.
+func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (core.PhaseResult, traceWindow, error) {
 	tr := pipe.Tracer
-	var lo int64
+	var tw traceWindow
 	if tr != nil {
-		lo = tr.Now()
+		tw.lo = tr.Now()
 	}
-	t0 := time.Now()
 	res, err := run()
-	ls := liveStats{wallSec: time.Since(t0).Seconds()}
-	if err != nil {
-		return res, ls, err
-	}
-	post := pipe.Pool.Stats().Totals()
-	if n := pipe.Pool.Workers(); n > 0 && ls.wallSec > 0 {
-		idle := float64(post.IdleNs-pre.IdleNs) / 1e9
-		ls.idleFrac = clamp(idle/(ls.wallSec*float64(n)), 0, 1)
-	}
-	if dTasks := post.Tasks - pre.Tasks; dTasks > 0 {
-		ls.stealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
-	}
 	if tr != nil {
-		ls.traceLo, ls.traceHi = lo, tr.Now()
-		spans := telemetry.Window(tr.Spans(), ls.traceLo, ls.traceHi)
-		for _, st := range telemetry.Summarize(spans) {
-			ls.selfSec += st.SelfSec()
-		}
+		tw.hi = tr.Now()
 	}
-	return res, ls, nil
+	return res, tw, err
 }
 
 // Run governs cycles simulate→visualize cycles of a real pipeline: each
-// phase's Go work executes for real (producing its operation profile,
-// pool counters, and trace spans), then advances through the governed
+// phase's Go work executes for real (producing its operation profile
+// and trace spans), then advances through the governed
 // tick engine where every cap decision sees only already-collected
 // measurements. The recorded segments in the result allow bit-exact
 // policy replays over the same work.
@@ -574,18 +523,18 @@ func (g *Governor) Run(pipe *core.Pipeline, cycles int) (Result, error) {
 		cycles = 1
 	}
 	for i := 0; i < cycles; i++ {
-		res, ls, err := capturePhase(pipe, pipe.Simulate)
+		res, tw, err := capturePhase(pipe, pipe.Simulate)
 		if err != nil {
 			return g.finish(), err
 		}
-		if _, err := g.governPhase("simulate", res.Exec, ls); err != nil {
+		if _, err := g.governPhase("simulate", res.Exec, tw); err != nil {
 			return g.finish(), err
 		}
-		res, ls, err = capturePhase(pipe, pipe.Visualize)
+		res, tw, err = capturePhase(pipe, pipe.Visualize)
 		if err != nil {
 			return g.finish(), err
 		}
-		if _, err := g.governPhase("visualize", res.Exec, ls); err != nil {
+		if _, err := g.governPhase("visualize", res.Exec, tw); err != nil {
 			return g.finish(), err
 		}
 	}
@@ -600,7 +549,7 @@ func (g *Governor) RunSegments(segs []Segment) (Result, error) {
 		return g.finish(), fmt.Errorf("power: no segments")
 	}
 	for _, seg := range segs {
-		if _, err := g.governPhase(seg.Label, seg.Exec, liveStats{}); err != nil {
+		if _, err := g.governPhase(seg.Label, seg.Exec, traceWindow{}); err != nil {
 			return g.finish(), err
 		}
 	}

@@ -172,7 +172,7 @@ func TestGovernorNoLimitCycleAcrossOrderings(t *testing.T) {
 
 func TestControllerTrimConditionalIntegration(t *testing.T) {
 	spec := cpu.BroadwellEP()
-	c := controller{spec: spec, targetW: 65, gain: 0.5}
+	c := controller{spec: spec, targetW: 65}
 	// Unthrottled phase: no cap change can move the power, the error
 	// must not integrate.
 	c.trimUpdate(60, false, false, false)
@@ -200,7 +200,7 @@ func TestControllerTrimConditionalIntegration(t *testing.T) {
 
 func TestControllerBankClamps(t *testing.T) {
 	spec := cpu.BroadwellEP()
-	c := controller{spec: spec, targetW: 65, gain: 0.5}
+	c := controller{spec: spec, targetW: 65}
 	// A long donation stretch cannot bank more than a sensitive phase
 	// can spend.
 	c.credit(1000, 40)

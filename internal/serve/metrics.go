@@ -174,11 +174,6 @@ func (s *Server) initMetrics() {
 		})
 }
 
-// Metrics exposes the daemon's registry — pass it to power.Options.
-// Metrics so a calibration governor's live series land on the same
-// /metrics page.
-func (s *Server) Metrics() *obs.Registry { return s.met.reg }
-
 // observeRequest records one accepted request's wall time.
 func (m *serverMetrics) observeRequest(handler string, start time.Time) {
 	m.latency[handler].Observe(time.Since(start).Seconds())
