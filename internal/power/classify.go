@@ -25,17 +25,9 @@ import (
 //     70 W means the phase needs more than the boundary; running free
 //     at a deep cap means it cannot use even that much.
 //
-// Each signal votes; the vote stream is smoothed per phase label with
-// an EWMA and the class only flips outside a dead band — the
-// classification hysteresis that keeps the cap from ringing when a
-// phase sits near the boundary.
+// Each signal votes and the summed vote of the newest sample sets the
+// class; a sample whose signals cancel keeps the previous class.
 const (
-	// classAlpha is the EWMA weight of the newest vote.
-	classAlpha = 0.5
-	// classDeadband is the score band inside which the previous class
-	// is kept.
-	classDeadband = 0.1
-
 	// Turbo-normalized IPC thresholds.
 	normIPCSensitive   = 1.35
 	normIPCOpportunity = 1.00
@@ -91,7 +83,7 @@ func classVote(s perfctr.Sample, spec cpu.Spec, capW float64) float64 {
 	return clamp(v/normBy, -1, 1)
 }
 
-// phaseState is the governor's per-phase-label memory: the smoothed
+// phaseState is the governor's per-phase-label memory: the newest
 // class score, the learned free level (knee) for donation, the duration
 // estimate that sets the bank burn-down horizon, and the measured
 // demand that feeds the serve admission estimates.
@@ -124,12 +116,11 @@ type phaseState struct {
 // observe folds one live sample into the label's class score and knee
 // estimate. capW is the effective cap the tick ran under.
 func (st *phaseState) observe(s perfctr.Sample, spec cpu.Spec, capW float64) {
-	vote := classVote(s, spec, capW)
-	st.score = (1-classAlpha)*st.score + classAlpha*vote
+	st.score = classVote(s, spec, capW)
 	switch {
-	case st.score >= classDeadband:
+	case st.score > 0:
 		st.class = core.PowerSensitive
-	case st.score <= -classDeadband:
+	case st.score < 0:
 		st.class = core.PowerOpportunity
 	}
 
