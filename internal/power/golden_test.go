@@ -26,9 +26,10 @@ func floatDigest(vs []float64) string {
 
 // TestRunSegmentsGolden pins a governed replay bit for bit: each
 // phase's caps, time, energy and last-sample readings, the run totals,
-// and every flight-recorded cap decision. The digest was recorded when
-// the governor still owned its counter-and-sampler driver, so moving
-// that driver must leave every sample and decision unchanged.
+// and every flight-recorded cap decision. The digest was re-recorded
+// when the class score became the newest sample's vote instead of an
+// EWMA: only the Score values moved, and with them left out every other
+// value hashes the same before and after.
 func TestRunSegmentsGolden(t *testing.T) {
 	res := govern(t, mixedSegments(4), 65)
 	vs := []float64{res.TimeSec, res.EnergyJ, res.AvgPowerWatts, res.FinalCapWatts, float64(res.Reprograms)}
@@ -44,7 +45,7 @@ func TestRunSegmentsGolden(t *testing.T) {
 	for _, s := range res.Samples {
 		vs = append(vs, s.TimeSec, s.IntervalSec, s.EnergyJ, s.PowerW, s.EffFreqGHz, s.IPC, s.LLCMissRate)
 	}
-	const wantPhases, wantDecisions, wantDigest = 8, 21, "5f9e41de5ecbfc74"
+	const wantPhases, wantDecisions, wantDigest = 8, 21, "c8c49f9cbe443290"
 	if len(res.Phases) != wantPhases || len(res.Decisions) != wantDecisions || floatDigest(vs) != wantDigest {
 		t.Errorf("RunSegments: %d phases, %d decisions, digest %s; want %d, %d, %s",
 			len(res.Phases), len(res.Decisions), floatDigest(vs), wantPhases, wantDecisions, wantDigest)
