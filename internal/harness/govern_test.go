@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/telemetry"
 )
 
 func governConfig() *Config {
@@ -118,6 +119,39 @@ func TestGovernorCompareObservability(t *testing.T) {
 	c.writeGovern(&b)
 	if !strings.Contains(b.String(), "Where the joules went") {
 		t.Errorf("report missing attribution table:\n%s", b.String())
+	}
+}
+
+// TestGovernorCompareSameWithTracing pins the cap table against the
+// measurement plane: a pool instrumented with a tracer, as -trace
+// wires it, must govern to exactly the numbers an uninstrumented run
+// gets — the governor reads only modeled counters.
+func TestGovernorCompareSameWithTracing(t *testing.T) {
+	plain, err := governConfig().GovernorCompare(16, []float64{55, 65}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := governConfig()
+	c.Tracer = telemetry.New(c.Pool.Workers())
+	c.Pool.Instrument(c.Tracer)
+	traced, err := c.GovernorCompare(16, []float64{55, 65}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traced.Rows) != len(plain.Rows) {
+		t.Fatalf("traced sweep has %d rows, plain %d", len(traced.Rows), len(plain.Rows))
+	}
+	// Every time, average power and cap, the reprogram count and the
+	// number of decisions.
+	row := func(r GovernRow) [12]float64 {
+		return [...]float64{r.GovTimeSec, r.GovAvgW, r.EqTimeSec, r.EqAvgW,
+			r.StaticTimeSec, r.StaticAvgW, r.SimCapW, r.VizCapW,
+			r.UniformTimeSec, r.UniformAvgW, float64(r.Reprograms), float64(len(r.Decisions))}
+	}
+	for i, p := range plain.Rows {
+		if got, want := row(traced.Rows[i]), row(p); got != want {
+			t.Errorf("%.0f W: traced row %v, plain %v", p.BudgetWatts, got, want)
+		}
 	}
 }
 

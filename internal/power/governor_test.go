@@ -208,9 +208,11 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 
 func TestGovernorSegmentsReplayMatchesRun(t *testing.T) {
 	// Replaying the recorded segments at the same target through a
-	// fresh governor must land where the live run did — the property
-	// the equal-energy comparison harness is built on. (Not bit-exact:
-	// the replay lacks the live pool-idle vote.)
+	// fresh governor must reproduce the live run bit for bit — the
+	// property the equal-energy comparison harness is built on. Every
+	// cap decision reads only the modeled counters, never the wall
+	// clock or the pool, so nothing the live run saw is missing from
+	// the replay.
 	pipe := newGovernedPipeline(t, 2)
 	g, err := New(newRAPL(), Options{TargetWatts: 65})
 	if err != nil {
@@ -228,9 +230,20 @@ func TestGovernorSegmentsReplayMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(replay.TimeSec-live.TimeSec) > 0.02*live.TimeSec ||
-		math.Abs(replay.EnergyJ-live.EnergyJ) > 0.02*live.EnergyJ {
-		t.Errorf("replay diverged: %.6fs/%.2fJ vs live %.6fs/%.2fJ",
-			replay.TimeSec, replay.EnergyJ, live.TimeSec, live.EnergyJ)
+	if replay.TimeSec != live.TimeSec || replay.EnergyJ != live.EnergyJ || replay.Reprograms != live.Reprograms {
+		t.Errorf("replay diverged: %vs/%vJ/%d reprograms vs live %vs/%vJ/%d",
+			replay.TimeSec, replay.EnergyJ, replay.Reprograms, live.TimeSec, live.EnergyJ, live.Reprograms)
+	}
+	if len(replay.Phases) != len(live.Phases) {
+		t.Fatalf("replay governed %d phases, live %d", len(replay.Phases), len(live.Phases))
+	}
+	for i, lp := range live.Phases {
+		rp := replay.Phases[i]
+		if rp.Class != lp.Class || rp.Score != lp.Score ||
+			rp.CapStartWatts != lp.CapStartWatts || rp.CapEndWatts != lp.CapEndWatts {
+			t.Errorf("phase %d (%s): replay %v/%v caps %v->%v, live %v/%v caps %v->%v", i, lp.Label,
+				rp.Class, rp.Score, rp.CapStartWatts, rp.CapEndWatts,
+				lp.Class, lp.Score, lp.CapStartWatts, lp.CapEndWatts)
+		}
 	}
 }
