@@ -112,13 +112,13 @@ func parseFlags(cmd string, args []string) (*options, error) {
 		iso       = fs.Int("isovalues", 0, "contour isovalues per cycle (default 10)")
 		csv       = fs.Bool("csv", false, "emit figures as CSV instead of aligned text")
 		out       = fs.String("out", "out", "output directory (fig1, all)")
-		capW      = fs.Float64("cap", 65, "power cap in watts (trace)")
-		budget    = fs.Float64("budget", 130, "node power budget in watts (allocate, serve; serve: 0 disables admission control)")
+		capW      = fs.Float64("cap", 65, "power cap in watts (trace, profile)")
+		budget    = fs.Float64("budget", 130, "node power budget in watts (allocate, overprovision, serve; serve: 0 disables admission control)")
 		addr      = fs.String("addr", "localhost:8080", "listen address (serve)")
 		queue     = fs.Int("queue", 64, "admission queue depth before 429s (serve)")
-		cycles    = fs.Int("cycles", 3, "in situ cycles (trace)")
+		cycles    = fs.Int("cycles", 3, "in situ cycles (trace, profile; govern and all -govern: governed cycles, at least 6)")
 		figRes    = fs.Int("figres", 256, "figure-1 rendering resolution")
-		alg       = fs.String("alg", "Contour", "algorithm name (arch)")
+		alg       = fs.String("alg", "Contour", "algorithm name (arch, cinema, overprovision)")
 		extended  = fs.Bool("extended", false, "include the extension filters (classify)")
 		ranks     = fs.String("ranks", "", "comma-separated fabric sizes for distributed advection (advect, profile; default 1,2,4,8)")
 		adaptive  = fs.Bool("adaptive", false, "advect with the adaptive BS23 integrator instead of fixed-step RK4 (advect)")
@@ -368,9 +368,10 @@ func serveCmd(c *harness.Config, opt *options) error {
 		fmt.Fprintln(os.Stderr)
 	}
 	if c.Tracer == nil {
-		// Counters only, attached after the calibration so its governed
-		// numbers stay those of an uninstrumented pool: the vizpower_pool_*
-		// series on /metrics count served work instead of reading 0.
+		// Counters only, so the vizpower_pool_* series on /metrics
+		// count served work instead of reading 0. The governor reads no
+		// pool counters, so the calibration above governs the same
+		// either way.
 		c.Pool.Instrument(nil)
 	}
 	hs := &http.Server{Addr: opt.addr, Handler: srv.Handler()}
@@ -992,9 +993,10 @@ func exportCmd(c *harness.Config, opt *options) error {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: vizpower <command> [flags]
 commands: table1 table2 table3 fig1 fig2a fig2b fig2c fig3 fig4 fig5 fig6 [-csv]
-          classify [-extended] energy arch [-alg NAME] export trace allocate
-          advect [-ranks LIST -adaptive] profile [-cap W -cycles N -out DIR -ranks LIST]
-          overprovision [-alg NAME -budget W] verify cinema
+          classify [-extended] energy arch [-alg NAME] export trace [-cap W -cycles N]
+          allocate [-budget W] advect [-ranks LIST -adaptive]
+          profile [-cap W -cycles N -out DIR -ranks LIST]
+          overprovision [-alg NAME -budget W] verify cinema [-alg NAME -out DIR]
           govern [-cycles N -decisions] serve [-addr HOST:PORT -budget W -queue N -out DIR -govern] all
 run "vizpower <command> -h" for flags; add -quick for a fast demonstration
 global: -trace FILE writes a Perfetto-loadable execution trace of any
