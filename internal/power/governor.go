@@ -2,10 +2,12 @@
 // planning per-phase RAPL caps offline from a calibrated model
 // (core.PlanPhaseCaps), a Governor watches the live hardware signals of
 // a real pipeline run — perf-counter IPC, effective frequency, LLC miss
-// rate, unthrottled package power — and reprograms the package limit at every phase boundary plus a 100 ms
-// intra-phase tick so the job-average power lands on a target while the
-// power-sensitive phases keep every watt the opportunity phases can
-// donate.
+// rate, package power — and reprograms the package limit at every phase
+// boundary plus a 100 ms intra-phase tick so the job-average power
+// lands on a target while the power-sensitive phases keep every watt
+// the opportunity phases can donate. Each phase is classified from its
+// newest sample's vote; the cap follows a feedforward + energy-bank +
+// trim law (see controller.go).
 package power
 
 import (
