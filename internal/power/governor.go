@@ -513,10 +513,10 @@ func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (co
 
 // Run governs cycles simulate→visualize cycles of a real pipeline: each
 // phase's Go work executes for real (producing its operation profile
-// and trace spans), then advances through the governed
-// tick engine where every cap decision sees only already-collected
-// measurements. The recorded segments in the result allow bit-exact
-// policy replays over the same work.
+// and trace spans), then advances through the governed tick engine
+// where every cap decision sees only already-collected measurements.
+// The recorded segments in the result allow bit-exact policy replays
+// over the same work.
 func (g *Governor) Run(pipe *core.Pipeline, cycles int) (Result, error) {
 	if pipe == nil {
 		return g.finish(), fmt.Errorf("power: nil pipeline")
